@@ -8,6 +8,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# The benchmark package is a workspace of its own, so the run above skips
+# it. Its tests check that the probed builds it measures reproduce the
+# harness digests, crowd and bubbles alike.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Static analysis: determinism & robustness rules over every workspace
 # .rs file (DESIGN.md §9 and §14). Exits 1 on any finding not covered by
 # the committed lint.allow baseline, 2 on I/O or parse trouble or an

@@ -438,17 +438,26 @@ impl BubblesReport {
 /// before the digest is taken, so the digest covers the epidemic
 /// traffic too.
 pub fn run(config: &BubblesConfig) -> Result<BubblesReport, BubblesError> {
+    run_with(config, |cluster, t| cluster.run_until(t))
+}
+
+/// [`run`] with the clock advanced by `advance(cluster, t)` — the batched
+/// engine in production, the per-event reference in the differential test.
+fn run_with(
+    config: &BubblesConfig,
+    mut advance: impl FnMut(&mut Cluster<CommunityApp>, SimTime),
+) -> Result<BubblesReport, BubblesError> {
     let wall = Instant::now();
     let mut s = build(config)?;
     let publish_at = SimTime::ZERO.saturating_add(config.publish_at);
     let deadline = SimTime::ZERO.saturating_add(config.horizon);
-    s.cluster.run_until(publish_at);
+    advance(&mut s.cluster, publish_at);
     let payload = codec::Bytes::from(vec![0x5A; config.blob_bytes]);
     s.cluster.with_app(s.origin, |app, ctx| {
         app.publish_blob(BLOB_NAME, payload, ctx)
             .expect("origin is logged in with gossip enabled")
     });
-    s.cluster.run_until(deadline);
+    advance(&mut s.cluster, deadline);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
     let member_names: BTreeSet<String> = (0..config.bubbles)
@@ -585,6 +594,18 @@ mod tests {
                 ..small()
             };
             let serial = run(&base).expect("valid config");
+            // The per-event reference: one event per step, effects
+            // committed after each, no batching at all.
+            let reference = run_with(&base, |cluster, t| {
+                cluster.run_until_condition(t, |_| false);
+            })
+            .expect("valid config");
+            assert_eq!(
+                format!("{:016x}", reference.digest),
+                format!("{:016x}", serial.digest),
+                "batched engine diverged from per-event dispatch: faults={faults}"
+            );
+            assert_eq!(reference.stats, serial.stats, "faults={faults}");
             for &(threads, lanes) in &[(4usize, 0usize), (2, 3)] {
                 let par = run(&BubblesConfig {
                     threads,

@@ -1,22 +1,16 @@
-//! Deterministic event queue for discrete-event simulation.
+//! The single-wheel event queue: the test oracle the region-sharded
+//! [`RegionLanes`](crate::RegionLanes) is checked against.
 //!
 //! Events are ordered by their scheduled [`SimTime`]; ties are broken by
 //! insertion order (a monotonically increasing sequence number), so two runs
 //! that schedule the same events in the same order always execute them in the
-//! same order — the foundation of reproducible experiments.
-//!
-//! Since the parallel-epoch work the queue is backed by a
-//! [hierarchical timing wheel](crate::wheel) instead of a global
-//! `BinaryHeap`: scheduling and popping near-horizon events is O(1)
-//! amortized, far-future timers overflow to a heap, and the pop stream is
-//! bit-identical to the old heap implementation (same `(at, seq)`
-//! tie-break, enforced by differential property tests).
+//! same order. `RegionLanes` must reproduce this pop stream exactly for any
+//! lane count; the differential tests in `region.rs` compare the two.
 
 use std::time::Duration;
 
 use crate::time::SimTime;
-pub use crate::wheel::TimerToken;
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerToken, TimerWheel};
 
 /// A time-ordered queue of simulation events.
 ///
@@ -24,22 +18,6 @@ use crate::wheel::TimerWheel;
 /// [`EventQueue::now`] to that event's timestamp. Scheduling an event in the
 /// past is a logic error and panics, because it would mean the simulation is
 /// not causally consistent.
-///
-/// # Example
-///
-/// ```rust
-/// use ph_netsim::{EventQueue, SimTime};
-/// use std::time::Duration;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule_after(Duration::from_secs(2), "beta");
-/// q.schedule_after(Duration::from_secs(1), "alpha");
-/// let (t1, e1) = q.pop().unwrap();
-/// assert_eq!((t1, e1), (SimTime::from_secs(1), "alpha"));
-/// let (t2, e2) = q.pop().unwrap();
-/// assert_eq!((t2, e2), (SimTime::from_secs(2), "beta"));
-/// assert!(q.pop().is_none());
-/// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
@@ -53,20 +31,6 @@ impl<E> EventQueue<E> {
             wheel: TimerWheel::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// Creates an empty queue sized for roughly `capacity` in-flight
-    /// events, avoiding reallocation churn while the schedule grows.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            wheel: TimerWheel::with_capacity(capacity),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Reserves space for at least `additional` more in-flight events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.wheel.reserve(additional);
     }
 
     /// The current virtual time: the timestamp of the most recently popped
@@ -206,12 +170,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +182,16 @@ mod tests {
         q.schedule(SimTime::from_secs(2), 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
+    }
+
+    #[test]
+    fn schedule_after_pops_in_time_order_then_drains() {
+        let mut q = EventQueue::new();
+        q.schedule_after(Duration::from_secs(2), "beta");
+        q.schedule_after(Duration::from_secs(1), "alpha");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "alpha")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "beta")));
+        assert!(q.pop().is_none());
     }
 
     #[test]

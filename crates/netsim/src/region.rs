@@ -12,8 +12,8 @@
 //! from different lanes can be re-interleaved exactly. As a consequence the
 //! pop stream — and therefore every trace digest downstream — is bit-identical
 //! for *any* lane count and *any* region-to-lane mapping. That invariant is
-//! pinned by differential tests against [`EventQueue`] in this module and by
-//! the crowd digest selfchecks in the harness.
+//! pinned by differential tests against the single-wheel `EventQueue` oracle
+//! in this module's tests and by the crowd digest selfchecks in the harness.
 //!
 //! Boundary handoff falls out of the same design: when a node crosses from
 //! one region to another, newly scheduled events simply route to the new
@@ -59,11 +59,11 @@ pub fn lane_for(region: (i64, i64), lane_count: usize) -> usize {
 
 /// A time-ordered event queue sharded into per-region timer-wheel lanes.
 ///
-/// Drop-in replacement for [`EventQueue`] in engines that route events by
-/// region: same clock semantics (popping advances [`RegionLanes::now`],
-/// scheduling in the past panics), same `(time, insertion-order)` pop
-/// contract — except the insertion order is tracked *globally* across lanes,
-/// so the observable stream is independent of how events are routed.
+/// One clock for engines that route events by region: popping advances
+/// [`RegionLanes::now`], scheduling in the past panics, and events pop in
+/// `(time, insertion-order)` order. The insertion order is tracked
+/// *globally* across lanes, so the observable stream is independent of how
+/// events are routed.
 ///
 /// # Example
 ///
@@ -255,10 +255,9 @@ impl<E> RegionLanes<E> {
     /// (cleared first, capacity reused). Returns that timestamp, or `None`
     /// if nothing is due.
     ///
-    /// Same contract as [`EventQueue::drain_batch`]: events scheduled *at
-    /// the returned timestamp* while the caller processes the batch land in
-    /// a later batch at the same timestamp, because their global sequence
-    /// numbers are larger.
+    /// Events scheduled *at the returned timestamp* while the caller
+    /// processes the batch land in a later batch at the same timestamp,
+    /// because their global sequence numbers are larger.
     pub fn drain_batch(&mut self, deadline: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         out.clear();
         self.stage_next();
@@ -327,7 +326,7 @@ mod tests {
     }
 
     /// The core tentpole invariant: for a workload with heavy timestamp
-    /// collisions, the pop stream matches a single serial [`EventQueue`]
+    /// collisions, the pop stream matches a single serial `EventQueue`
     /// bit-for-bit regardless of lane count or routing.
     #[test]
     fn pop_stream_matches_serial_queue_for_any_lane_count() {
@@ -553,5 +552,34 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.len(), 0);
+    }
+
+    /// Known defect: `drain_batch` stages the next timestamp even when it
+    /// lies past the deadline, so an event scheduled between two drains at
+    /// an earlier time pops *after* the staged batch and the clock runs
+    /// backwards. `Cluster::run_until` followed by `with_app` hits this;
+    /// the single-wheel oracle peeks before it pops and does not.
+    #[test]
+    #[ignore = "known defect: drain_batch stages past its deadline"]
+    fn events_scheduled_between_drains_keep_time_order() {
+        let mut serial = EventQueue::new();
+        let mut sharded = RegionLanes::new(2);
+        let mut batch = Vec::new();
+        serial.schedule(SimTime::from_secs(5), "late");
+        sharded.schedule(0, SimTime::from_secs(5), "late");
+        let deadline = SimTime::from_secs(1);
+        assert_eq!(serial.drain_batch(deadline, &mut batch), None);
+        assert_eq!(sharded.drain_batch(deadline, &mut batch), None);
+        serial.schedule(SimTime::from_secs(2), "early");
+        sharded.schedule(1, SimTime::from_secs(2), "early");
+        let end = SimTime::from_secs(9);
+        assert_eq!(
+            serial.drain_batch(end, &mut batch),
+            Some(SimTime::from_secs(2))
+        );
+        assert_eq!(
+            sharded.drain_batch(end, &mut batch),
+            Some(SimTime::from_secs(2))
+        );
     }
 }

@@ -13,8 +13,8 @@ use std::time::Duration;
 /// An instant on the virtual simulation clock.
 ///
 /// Internally a count of microseconds since simulation start. `SimTime`
-/// implements total ordering and cheap copying, and is the key by which the
-/// [`EventQueue`](crate::EventQueue) orders events.
+/// implements total ordering and cheap copying, and is the key by which
+/// [`RegionLanes`](crate::RegionLanes) orders events.
 ///
 /// # Example
 ///

@@ -28,9 +28,8 @@
 //! all-pairs implementations are kept as `*_naive` methods for differential
 //! testing.
 //!
-//! The world itself has no event loop; drivers combine it with an
-//! [`EventQueue`](crate::EventQueue) or the region-sharded
-//! [`RegionLanes`](crate::region::RegionLanes).
+//! The world itself has no event loop; drivers combine it with the
+//! region-sharded [`RegionLanes`](crate::region::RegionLanes) queue.
 
 use std::collections::HashMap;
 use std::fmt;

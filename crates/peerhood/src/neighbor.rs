@@ -138,6 +138,12 @@ impl NeighborTable {
         self.entries.binary_search_by_key(&device, |e| e.info.id)
     }
 
+    /// The entry for `device`, if known.
+    fn entry_mut(&mut self, device: DeviceId) -> Option<&mut NeighborEntry> {
+        let at = self.position(device).ok()?;
+        self.entries.get_mut(at)
+    }
+
     /// Records that `info` answered discovery over `tech` at `now`.
     pub fn record_sighting(
         &mut self,
@@ -145,40 +151,36 @@ impl NeighborTable {
         tech: Technology,
         now: SimTime,
     ) -> SightingOutcome {
-        match self.position(info.id) {
-            Ok(at) => {
-                let entry = &mut self.entries[at];
-                entry.info = info;
-                let fresh_tech = !entry.last_seen.contains(tech);
-                entry.last_seen.insert(tech, now);
-                if fresh_tech {
-                    SightingOutcome::NewTechnology
-                } else {
-                    SightingOutcome::Refreshed
-                }
-            }
-            Err(at) => {
-                let mut last_seen = SightingTimes::default();
-                last_seen.insert(tech, now);
-                self.entries.insert(
-                    at,
-                    NeighborEntry {
-                        info,
-                        last_seen,
-                        services: None,
-                    },
-                );
-                SightingOutcome::NewDevice
-            }
+        if let Some(entry) = self.entry_mut(info.id) {
+            entry.info = info;
+            let fresh_tech = !entry.last_seen.contains(tech);
+            entry.last_seen.insert(tech, now);
+            return if fresh_tech {
+                SightingOutcome::NewTechnology
+            } else {
+                SightingOutcome::Refreshed
+            };
         }
+        let mut last_seen = SightingTimes::default();
+        last_seen.insert(tech, now);
+        let at = self.position(info.id).unwrap_or_else(|at| at);
+        self.entries.insert(
+            at,
+            NeighborEntry {
+                info,
+                last_seen,
+                services: None,
+            },
+        );
+        SightingOutcome::NewDevice
     }
 
     /// Stores a freshly fetched remote service list.
     ///
     /// Ignored if the device is no longer in the table.
     pub fn record_services(&mut self, device: DeviceId, services: Vec<ServiceInfo>, now: SimTime) {
-        if let Ok(at) = self.position(device) {
-            self.entries[at].services = Some((now, services));
+        if let Some(entry) = self.entry_mut(device) {
+            entry.services = Some((now, services));
         }
     }
 
@@ -214,7 +216,8 @@ impl NeighborTable {
 
     /// Looks up one neighbor.
     pub fn get(&self, device: DeviceId) -> Option<&NeighborEntry> {
-        self.position(device).ok().map(|at| &self.entries[at])
+        let at = self.position(device).ok()?;
+        self.entries.get(at)
     }
 
     /// Whether the device is currently known.

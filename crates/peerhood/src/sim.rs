@@ -12,7 +12,7 @@
 //! Everything is driven from a single seeded RNG, so a run is a pure
 //! function of `(scenario, seed)`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use codec::Bytes;
@@ -160,6 +160,13 @@ impl Link {
     }
 }
 
+/// The open radio links and the next link id to hand out.
+#[derive(Debug, Default)]
+struct LinkTable {
+    map: BTreeMap<LinkId, Link>,
+    next: u64,
+}
+
 /// The set of pending `DaemonWake` timestamps for one node — a sorted `Vec`
 /// rather than a `BTreeSet`: a node rarely has more than a couple of wakes
 /// in flight, and at million-node scale the tree's per-node allocation
@@ -214,6 +221,9 @@ struct NodeRt<A> {
     rng: SimRng,
     /// Lazily-initialized fault state (see [`FaultRt`]).
     fault: Option<Box<FaultRt>>,
+    /// Whether the daemon is inside a crash window: all daemon inputs are
+    /// dropped until the matching [`Ev::CrashEnd`].
+    down: bool,
 }
 
 impl<A> NodeRt<A> {
@@ -253,22 +263,20 @@ pub struct Cluster<A> {
     /// Each node's interned actor handle in `trace`, for the buffered
     /// record path ([`TraceSink::Buffer`]).
     actor_ids: Vec<ActorId>,
-    links: BTreeMap<LinkId, Link>,
-    next_link: u64,
+    links: LinkTable,
     /// Scenario seed; per-node RNG lanes derive from it statelessly via
     /// [`SimRng::lane`], so a node's streams never depend on cluster size.
     seed: u64,
     /// Radio profiles + fault plan shared with the world.
     env: RadioEnv,
-    /// Nodes whose daemon is inside a crash window: all daemon inputs are
-    /// dropped until the matching [`Ev::CrashEnd`].
-    down: BTreeSet<NodeId>,
     trace: Trace,
     started: bool,
     /// Worker count for the epoch engine (0 = auto, 1 = one worker).
     threads: usize,
     /// Reused batch buffer for [`RegionLanes::drain_batch`].
     batch_buf: Vec<Ev>,
+    /// Reused executor outboxes; the first serves every one-worker batch.
+    outboxes: Vec<EpochOutbox>,
     /// Accumulated phase breakdown of [`Cluster::run_until`] (counters are
     /// always cheap; wall-clock sampling only when enabled).
     timing: EpochTiming,
@@ -287,17 +295,18 @@ pub struct EpochTiming {
     /// Time spent partitioning parallel batches by home node.
     pub gather: Duration,
     /// Time spent executing events (worker fan-out for parallel batches,
-    /// inline dispatch for serial ones).
+    /// one inline worker for the rest).
     pub execute: Duration,
     /// Time spent replaying worker outboxes in canonical order.
     pub commit: Duration,
-    /// Timestamp batches executed through the parallel epoch engine.
+    /// Node-local timestamp batches, eligible for parallel workers.
     pub par_batches: u64,
-    /// Events executed through the parallel epoch engine.
+    /// Events in node-local batches.
     pub par_events: u64,
-    /// Timestamp batches dispatched serially (ineligible or tiny).
+    /// Timestamp batches run by one worker holding the link table
+    /// (ineligible or single-event).
     pub serial_batches: u64,
-    /// Events dispatched serially.
+    /// Events in those batches.
     pub serial_events: u64,
 }
 
@@ -351,15 +360,14 @@ impl<A: Application> Cluster<A> {
             nodes: Vec::new(),
             infos: Vec::new(),
             actor_ids: Vec::new(),
-            links: BTreeMap::new(),
-            next_link: 0,
+            links: LinkTable::default(),
             seed,
-            down: BTreeSet::new(),
             env,
             trace: Trace::new(),
             started: false,
             threads: 1,
             batch_buf: Vec::new(),
+            outboxes: Vec::new(),
             timing: EpochTiming::default(),
             collect_timing: false,
         }
@@ -412,7 +420,7 @@ impl<A: Application> Cluster<A> {
     /// The engine executes node-local timestamp batches concurrently —
     /// partitioned by home node, effects buffered per worker and committed
     /// in canonical batch order — so the trace digest is bit-identical for
-    /// every worker count (see the engine comment below). `ph-harness`
+    /// every worker count (see the executor comment below). `ph-harness`
     /// enforces this with digest-equality tests and `ci.sh` gates on it.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
@@ -455,6 +463,7 @@ impl<A: Application> Cluster<A> {
             wakes: WakeSet::default(),
             rng: SimRng::lane(self.seed, lane_seed),
             fault: None,
+            down: false,
         });
         if self.started {
             let now = self.queue.now();
@@ -607,7 +616,7 @@ impl<A: Application> Cluster<A> {
         }
         while self.queue.peek_time().is_some_and(|t| t <= deadline) {
             let (t, ev) = self.queue.pop().expect("peeked");
-            self.dispatch(ev);
+            self.solo(|w| w.run_ev(0, ev));
             if stop(self) {
                 return Some(t);
             }
@@ -620,700 +629,59 @@ impl<A: Application> Cluster<A> {
     /// the hook through which scenarios script "user" actions. Any PeerHood
     /// requests or timers the application issues are processed immediately.
     pub fn with_app<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
-        let now = self.queue.now();
-        let mut timers = Vec::new();
-        let result = {
-            let rt = &mut self.nodes[node.index()];
-            let mut ctx = AppCtx::new(
-                now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                Some(&mut self.trace),
-            );
-            f(&mut rt.app, &mut ctx)
-        };
-        self.after_app_callback(node, timers);
-        result
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection
-    // ------------------------------------------------------------------
-    // All fault decisions happen here, in serial dispatch order, drawing
-    // from the charged node's `fault_rng` lane only. `SimRng::chance`
-    // consumes nothing for zero probabilities, so with an inert plan these
-    // calls are pure no-ops and the run digest matches a fault-free run
-    // bit-for-bit. Attribution: frame loss and link kills charge the
-    // *receiver*, connection refusals charge the *initiator*.
-
-    /// Advances the receiving node's per-technology Gilbert channel and
-    /// samples one frame. An inert profile draws nothing, so it also skips
-    /// materializing the node's lazy fault state.
-    fn frame_lost(&mut self, to: NodeId, tech: Technology) -> bool {
-        let profile = *self.env.faults().profile(tech);
-        if profile.is_inert() {
-            return false;
-        }
-        let f = self.nodes[to.index()].fault(self.seed, to);
-        profile.frame_lost(&mut f.burst[tech_slot(tech)], &mut f.rng)
-    }
-
-    /// Samples whether the whole link dies under this frame (charged to the
-    /// receiver's fault lane).
-    fn link_killed(&mut self, to: NodeId, tech: Technology) -> bool {
-        let p = self.env.faults().profile(tech).link_kill;
-        // `chance(0)` draws nothing — don't materialize fault state for it.
-        p > 0.0 && self.nodes[to.index()].fault(self.seed, to).rng.chance(p)
-    }
-
-    /// Samples whether a connection attempt is refused outright (charged to
-    /// the initiator's fault lane).
-    fn connect_refused(&mut self, initiator: NodeId, tech: Technology) -> bool {
-        let p = self.env.faults().profile(tech).connect_refuse;
-        p > 0.0
-            && self.nodes[initiator.index()]
-                .fault(self.seed, initiator)
-                .rng
-                .chance(p)
-    }
-
-    // ------------------------------------------------------------------
-    // Event dispatch
-    // ------------------------------------------------------------------
-
-    fn dispatch(&mut self, ev: Ev) {
-        match ev {
-            Ev::Start(node) => {
-                let now = self.queue.now();
-                let mut timers = Vec::new();
-                {
-                    let rt = &mut self.nodes[node.index()];
-                    let mut ctx = AppCtx::new(
-                        now,
-                        &self.infos[node.index()].name,
-                        &mut rt.lib,
-                        &mut timers,
-                        Some(&mut self.trace),
-                    );
-                    rt.app.on_start(&mut ctx);
-                }
-                self.after_app_callback(node, timers);
-                self.feed_daemon(node, DaemonInput::Tick);
-            }
-            Ev::DaemonWake(node) => {
-                let now = self.queue.now();
-                self.nodes[node.index()].wakes.remove(now);
-                self.feed_daemon(node, DaemonInput::Tick);
-            }
-            Ev::AppTimer(node, token) => {
-                let now = self.queue.now();
-                let mut timers = Vec::new();
-                {
-                    let rt = &mut self.nodes[node.index()];
-                    let mut ctx = AppCtx::new(
-                        now,
-                        &self.infos[node.index()].name,
-                        &mut rt.lib,
-                        &mut timers,
-                        Some(&mut self.trace),
-                    );
-                    rt.app.on_timer(token, &mut ctx);
-                }
-                self.after_app_callback(node, timers);
-            }
-            Ev::InquiryFound {
-                seeker,
-                tech,
-                found,
-            } => {
-                let now = self.queue.now();
-                // The responder must still be in range when its answer lands.
-                if self.world.reachable(seeker, found, tech, now) {
-                    self.trace.stats_mut().inquiry_responses += 1;
-                    let device = self.device_info(found);
-                    self.feed_daemon(
-                        seeker,
-                        DaemonInput::Plugin(PluginEvent::InquiryResponse {
-                            technology: tech,
-                            device,
-                        }),
-                    );
-                }
-            }
-            Ev::InquiryDone { node, tech } => {
-                self.feed_daemon(
-                    node,
-                    DaemonInput::Plugin(PluginEvent::InquiryComplete { technology: tech }),
-                );
-            }
-            Ev::ServiceQueryArrive { to, from, tech } => {
-                if self.frame_lost(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                let device = self.device_id_of(from);
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ServiceQuery { device }),
-                );
-            }
-            Ev::ServiceReplyArrive {
-                to,
-                from,
-                services,
-                tech,
-            } => {
-                if let Some(tech) = tech {
-                    if self.frame_lost(to, tech) {
-                        self.trace.stats_mut().frames_dropped += 1;
-                        return;
-                    }
-                }
-                let device = self.device_id_of(from);
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ServiceReply { device, services }),
-                );
-            }
-            Ev::ConnectSetupDone {
-                initiator,
-                attempt,
-                target,
-                service,
-                tech,
-                resume,
-            } => {
-                let now = self.queue.now();
-                if !self.world.reachable(initiator, target, tech, now) {
-                    // The peer moved away while setup was in flight: this is
-                    // a failed connect like any other, plus its own counter
-                    // so summaries can tell it apart from refusals.
-                    let stats = self.trace.stats_mut();
-                    stats.connects_failed += 1;
-                    stats.connects_lost_setup += 1;
-                    self.feed_daemon(
-                        initiator,
-                        DaemonInput::Plugin(PluginEvent::ConnectResult {
-                            attempt,
-                            result: Err(format!("{tech} peer out of range during setup")),
-                        }),
-                    );
-                    return;
-                }
-                if self.down.contains(&target) {
-                    // The target's daemon is inside a crash window: nobody
-                    // is listening, so the transport reports a refusal.
-                    self.trace.stats_mut().connects_failed += 1;
-                    self.feed_daemon(
-                        initiator,
-                        DaemonInput::Plugin(PluginEvent::ConnectResult {
-                            attempt,
-                            result: Err(format!("{tech} peer daemon not responding")),
-                        }),
-                    );
-                    return;
-                }
-                let link = LinkId::new(self.next_link);
-                self.next_link += 1;
-                self.links.insert(
-                    link,
-                    Link {
-                        a: initiator,
-                        b: target,
-                        tech,
-                        pending: Some((initiator, attempt)),
-                        last_arrival_to_a: now,
-                        last_arrival_to_b: now,
-                        degraded_notified: false,
-                    },
-                );
-                let device = self.device_info(initiator);
-                self.feed_daemon(
-                    target,
-                    DaemonInput::Plugin(PluginEvent::IncomingConnection {
-                        link,
-                        device,
-                        service,
-                        technology: tech,
-                        resume,
-                    }),
-                );
-            }
-            Ev::ConnectResultArrive {
-                to,
-                attempt,
-                result,
-            } => {
-                if result.is_ok() {
-                    self.trace.stats_mut().connects_ok += 1;
-                } else {
-                    self.trace.stats_mut().connects_failed += 1;
-                }
-                self.feed_daemon(
-                    to,
-                    DaemonInput::Plugin(PluginEvent::ConnectResult { attempt, result }),
-                );
-            }
-            Ev::FrameArrive { to, link, payload } => {
-                let now = self.queue.now();
-                let Some(l) = self.links.get(&link) else {
-                    // Link torn down while the frame was in flight.
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                };
-                let tech = l.tech;
-                if self.down.contains(&to) {
-                    // Frames toward a crashed daemon fall on the floor.
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                if self.frame_lost(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    return;
-                }
-                if self.link_killed(to, tech) {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                    return;
-                }
-                let l = self.links.get(&link).expect("checked above");
-                if self.world.reachable(l.a, l.b, l.tech, now) {
-                    let stats = self.trace.stats_mut();
-                    stats.frames_delivered += 1;
-                    stats.bytes_delivered += payload.len() as u64;
-                    self.feed_daemon(
-                        to,
-                        DaemonInput::Plugin(PluginEvent::Frame { link, payload }),
-                    );
-                } else {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                }
-            }
-            Ev::PeerClosedArrive { to, link } => {
-                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::PeerClosed { link }));
-            }
-            Ev::LinkDownArrive { to, link } => {
-                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::LinkDown { link }));
-            }
-            Ev::CrashStart(node) => {
-                if node.index() >= self.nodes.len() || !self.down.insert(node) {
-                    return;
-                }
-                // Every radio link with an endpoint on the node dies; peers
-                // notice after the usual transport detection delay.
-                let dead: Vec<LinkId> = self
-                    .links
-                    .iter()
-                    .filter(|(_, l)| l.a == node || l.b == node)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for link in dead {
-                    self.tear_down_link(link);
-                }
-                // The daemon process restarts from empty soft state; the
-                // local application sees its connections close. Any requests
-                // it issues in response are lost — the daemon is down.
-                let now = self.queue.now();
-                let mut outs = Vec::new();
-                self.nodes[node.index()]
-                    .daemon
-                    .crash_restart(now, &mut outs);
-                let mut discarded = VecDeque::new();
-                for out in outs {
-                    if let DaemonOutput::App(ev) = out {
-                        self.deliver_app_event(node, ev, &mut discarded);
-                    }
-                }
-            }
-            Ev::CrashEnd(node) => {
-                if node.index() < self.nodes.len() && self.down.remove(&node) {
-                    self.feed_daemon(node, DaemonInput::Tick);
-                }
-            }
-        }
-    }
-
-    /// Schedules timers produced by an app callback and routes its queued
-    /// PeerHood requests into the daemon.
-    fn after_app_callback(&mut self, node: NodeId, timers: Vec<(SimTime, u64)>) {
-        for (at, token) in timers {
-            self.schedule_ev(at, Ev::AppTimer(node, token));
-        }
-        let requests = self.nodes[node.index()].lib.drain();
-        for req in requests {
-            self.feed_daemon(node, DaemonInput::App(req));
-        }
-    }
-
-    /// Runs the daemon input loop: daemon outputs may produce app events,
-    /// whose handlers may queue further daemon requests, and so on until
-    /// quiescent.
-    fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
-        let mut work: VecDeque<(NodeId, DaemonInput)> = VecDeque::new();
-        work.push_back((node, input));
-        while let Some((n, input)) = work.pop_front() {
-            if self.down.contains(&n) {
-                // Crashed daemons consume nothing until their restart.
-                continue;
-            }
-            let now = self.queue.now();
-            let mut outs = Vec::new();
-            let before = *self.nodes[n.index()].daemon.recovery_stats();
-            self.nodes[n.index()].daemon.handle(now, input, &mut outs);
-            let after = *self.nodes[n.index()].daemon.recovery_stats();
-            if after != before {
-                let stats = self.trace.stats_mut();
-                stats.retries += after.retries - before.retries;
-                stats.timeouts += after.timeouts - before.timeouts;
-                stats.gave_up += after.gave_up - before.gave_up;
-                stats.resumed += after.resumed - before.resumed;
-            }
-            for out in outs {
-                match out {
-                    DaemonOutput::Plugin(cmd) => self.exec_command(n, cmd),
-                    DaemonOutput::App(ev) => self.deliver_app_event(n, ev, &mut work),
-                    DaemonOutput::WakeAt(t) => self.schedule_wake(n, t),
-                }
-            }
-        }
-    }
-
-    fn deliver_app_event(
-        &mut self,
-        node: NodeId,
-        event: AppEvent,
-        work: &mut VecDeque<(NodeId, DaemonInput)>,
-    ) {
-        if matches!(event, AppEvent::Handover { .. }) {
-            self.trace.stats_mut().handovers += 1;
-        }
-        let now = self.queue.now();
-        let mut timers = Vec::new();
-        {
-            let rt = &mut self.nodes[node.index()];
-            let mut ctx = AppCtx::new(
-                now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                Some(&mut self.trace),
-            );
-            rt.app.on_event(event, &mut ctx);
-        }
-        for (at, token) in timers {
-            self.schedule_ev(at, Ev::AppTimer(node, token));
-        }
-        for req in self.nodes[node.index()].lib.drain() {
-            work.push_back((node, DaemonInput::App(req)));
-        }
-    }
-
-    fn schedule_wake(&mut self, node: NodeId, at: SimTime) {
-        let at = at.max(self.queue.now());
-        if self.nodes[node.index()].wakes.insert(at) {
-            self.schedule_ev(at, Ev::DaemonWake(node));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Plugin command execution (the simulated BT/WLAN/GPRS plugins)
-    // ------------------------------------------------------------------
-
-    fn exec_command(&mut self, node: NodeId, cmd: PluginCommand) {
-        let now = self.queue.now();
-        match cmd {
-            PluginCommand::StartInquiry { technology } => {
-                self.trace.stats_mut().inquiries += 1;
-                // One batched snapshot from the spatial index; every
-                // responder is then scheduled off this single range query.
-                let neighbors = self.world.neighbors(node, technology, now);
-                // Every event below targets the seeker, so its home lane is
-                // computed once; all draws come from the seeker's own lane.
-                let lane = self.home_lane(node);
-                let profile = self.env.profile(technology);
-                for nb in neighbors {
-                    let rng = &mut self.nodes[node.index()].rng;
-                    if profile.discovery_misses(rng) {
-                        continue;
-                    }
-                    let offset = profile.response_offset(rng);
-                    self.queue.schedule(
-                        lane,
-                        now + offset,
-                        Ev::InquiryFound {
-                            seeker: node,
-                            tech: technology,
-                            found: nb,
-                        },
-                    );
-                }
-                self.queue.schedule(
-                    lane,
-                    now + profile.inquiry_duration,
-                    Ev::InquiryDone {
-                        node,
-                        tech: technology,
-                    },
-                );
-            }
-            PluginCommand::QueryServices { device, technology } => {
-                self.trace.stats_mut().service_queries += 1;
-                let target = self.node_of(device);
-                if self.world.reachable(node, target, technology, now) {
-                    let delay = self
-                        .env
-                        .profile(technology)
-                        .transfer_time(SDP_QUERY_BYTES, &mut self.nodes[node.index()].rng);
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ServiceQueryArrive {
-                            to: target,
-                            from: node,
-                            tech: technology,
-                        },
-                    );
-                } else {
-                    // Unanswerable: deliver an empty reply after a timeout so
-                    // pending application requests resolve.
-                    self.schedule_ev(
-                        now + SDP_TIMEOUT,
-                        Ev::ServiceReplyArrive {
-                            to: node,
-                            from: target,
-                            services: Vec::new(),
-                            tech: None,
-                        },
-                    );
-                }
-            }
-            PluginCommand::ServiceQueryReply { device, services } => {
-                let target = self.node_of(device);
-                // Route the reply back over the cheapest shared technology.
-                let tech = Technology::ALL
-                    .into_iter()
-                    .find(|&t| self.world.reachable(node, target, t, now));
-                if let Some(tech) = tech {
-                    let bytes = SDP_QUERY_BYTES + SDP_RECORD_BYTES * services.len();
-                    let delay = self
-                        .env
-                        .profile(tech)
-                        .transfer_time(bytes, &mut self.nodes[node.index()].rng);
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ServiceReplyArrive {
-                            to: target,
-                            from: node,
-                            services,
-                            tech: Some(tech),
-                        },
-                    );
-                }
-            }
-            PluginCommand::OpenConnection {
-                attempt,
-                device,
-                service,
-                technology,
-                resume,
-            } => {
-                self.trace.stats_mut().connects_attempted += 1;
-                let target = self.node_of(device);
-                // The setup delay is drawn from the main stream *before* the
-                // refusal decision, so an inert fault plan leaves the main
-                // stream untouched.
-                let delay = self
-                    .env
-                    .profile(technology)
-                    .connect_time(&mut self.nodes[node.index()].rng);
-                if self.connect_refused(node, technology) {
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} connection refused")),
-                        },
-                    );
-                } else if self.world.reachable(node, target, technology, now) {
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectSetupDone {
-                            initiator: node,
-                            attempt,
-                            target,
-                            service,
-                            tech: technology,
-                            resume,
-                        },
-                    );
-                } else {
-                    // A failed paging attempt costs about the setup time.
-                    self.schedule_ev(
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} peer out of range")),
-                        },
-                    );
-                }
-            }
-            PluginCommand::AcceptConnection { link } => {
-                if let Some(l) = self.links.get_mut(&link) {
-                    if let Some((initiator, attempt)) = l.pending.take() {
-                        let tech = l.tech;
-                        let delay = self
-                            .env
-                            .profile(tech)
-                            .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                        self.schedule_ev(
-                            now + delay,
-                            Ev::ConnectResultArrive {
-                                to: initiator,
-                                attempt,
-                                result: Ok(link),
-                            },
-                        );
-                    }
-                }
-            }
-            PluginCommand::RejectConnection { link, reason } => {
-                if let Some(l) = self.links.remove(&link) {
-                    if let Some((initiator, attempt)) = l.pending {
-                        let delay = self
-                            .env
-                            .profile(l.tech)
-                            .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                        self.schedule_ev(
-                            now + delay,
-                            Ev::ConnectResultArrive {
-                                to: initiator,
-                                attempt,
-                                result: Err(reason),
-                            },
-                        );
-                    }
-                }
-            }
-            PluginCommand::SendFrame { link, payload } => {
-                let Some(l) = self.links.get_mut(&link) else {
-                    return;
-                };
-                let (a, b, tech) = (l.a, l.b, l.tech);
-                let peer = l.other(node);
-                let delay = self
-                    .env
-                    .profile(tech)
-                    .transfer_time(payload.len(), &mut self.nodes[node.index()].rng);
-                let at = l.fifo_arrival(peer, now + delay);
-                let stats = self.trace.stats_mut();
-                stats.frames_sent += 1;
-                stats.bytes_sent += payload.len() as u64;
-                if self.world.reachable(a, b, tech, now) {
-                    self.schedule_ev(
-                        at,
-                        Ev::FrameArrive {
-                            to: peer,
-                            link,
-                            payload,
-                        },
-                    );
-                    // Edge-of-range warning: past 90 % of the radio range
-                    // the plugin reports a weakening link (once), letting
-                    // the daemon hand over make-before-break.
-                    let range = self.env.profile(tech).range_m;
-                    if range.is_finite() {
-                        let distance = self.world.distance(a, b, now);
-                        let l = self.links.get_mut(&link).expect("checked above");
-                        if distance > 0.9 * range {
-                            if !l.degraded_notified {
-                                l.degraded_notified = true;
-                                self.feed_daemon(
-                                    node,
-                                    DaemonInput::Plugin(PluginEvent::LinkDegraded { link }),
-                                );
-                            }
-                        } else {
-                            l.degraded_notified = false;
-                        }
-                    }
-                } else {
-                    self.trace.stats_mut().frames_dropped += 1;
-                    self.tear_down_link(link);
-                }
-            }
-            PluginCommand::CloseLink { link } => {
-                if let Some(mut l) = self.links.remove(&link) {
-                    let peer = l.other(node);
-                    let delay = self
-                        .env
-                        .profile(l.tech)
-                        .transfer_time(CTRL_BYTES, &mut self.nodes[node.index()].rng);
-                    // The orderly close must not overtake in-flight frames.
-                    let at = l.fifo_arrival(peer, now + delay);
-                    self.schedule_ev(at, Ev::PeerClosedArrive { to: peer, link });
-                }
-            }
-        }
-    }
-
-    /// Reports a lost radio link to both endpoints after the transport's
-    /// detection delay and forgets it.
-    fn tear_down_link(&mut self, link: LinkId) {
-        if let Some(l) = self.links.remove(&link) {
-            let at = self.queue.now() + LINK_DOWN_DETECT;
-            self.schedule_ev(at, Ev::LinkDownArrive { to: l.a, link });
-            self.schedule_ev(at, Ev::LinkDownArrive { to: l.b, link });
-        }
-    }
-
-    fn device_info(&self, node: NodeId) -> DeviceInfo {
-        self.infos[node.index()].clone()
-    }
-
-    fn device_id_of(&self, node: NodeId) -> DeviceId {
-        self.device_id(node)
+        self.solo(|w| w.app_callback(node, f))
     }
 }
 
 // ----------------------------------------------------------------------
-// The parallel lane-epoch engine
+// The executor
 // ----------------------------------------------------------------------
+//
+// Every event runs through one executor, `EpochWorker`: a `&mut` range of
+// node runtimes and a link table, frozen shared state (world positions
+// pinned by `EpochView`, identity snapshots, the trace's string pool), and
+// an `EpochOutbox` that buffers every externally visible effect — event
+// schedules, trace records, stat deltas. The commit replays outboxes into
+// the queue and the trace in canonical `(time, seq)` batch order, which
+// reproduces the global sequence numbers, pool intern order, ring eviction
+// and counters of executing the events one by one.
 //
 // One timestamp batch from `RegionLanes::drain_batch` is one *epoch*: every
 // event in it was already pending when the batch was staged, so nothing a
 // handler does during the epoch can inject work into it (same-timestamp
 // reschedules land in a *later* batch by global sequence number — the
-// queue's documented contract). That boundary is the entire lookahead-safety
-// argument: within an epoch, handlers only read frozen shared state (world
-// positions pinned by `EpochView`, the `down` set, identity snapshots, the
-// trace's string pool) and mutate *their own node's* state, so nodes can
-// execute concurrently.
+// queue's documented contract). A batch runs in one of two shapes:
 //
-// The engine partitions the batch by home node, hands each scoped worker a
-// disjoint `&mut` range of per-node runtimes plus that range's events (in
-// batch order, so per-node RNG/daemon streams evolve exactly as serial),
-// and buffers every externally-visible effect — event schedules, trace
-// records, stat bumps — in a per-worker outbox. The commit phase replays
-// outboxes serially in canonical `(time, seq)` batch order, reproducing the
-// exact global sequence numbers, pool intern order, ring eviction and
-// counters a serial run produces. The trace digest is therefore
-// bit-identical for any worker count, lane count and fault plan; `ci.sh`
-// and the differential tests below enforce that.
+// - One worker over the whole node table, holding the cluster's link
+//   table, executes the batch in order. Ineligible batches, single-event
+//   batches and batches too small to split take this shape. So do
+//   `run_until_condition` and `with_app`, which commit after every event:
+//   they are the per-event reference the differential tests compare the
+//   batched engine against.
+// - N workers over disjoint node ranges. Only batches whose every event is
+//   node-local under an empty link table are eligible (discovery, timers,
+//   service discovery). Their handlers read only frozen shared state and
+//   mutate their own node's runtime, so the nodes execute concurrently,
+//   each worker holding an empty link table of its own. Workers execute
+//   their events in batch order and the commit k-way merges their outboxes
+//   back into it.
 //
-// Only batches whose every event is node-local *under an empty link table*
-// are eligible (discovery, timers, service discovery). Link-touching events
-// — connects completing, frames, teardowns, crash windows — mutate shared
-// tables and fall back to serial dispatch, which is bit-identical by
-// construction.
+// The trace digest is therefore bit-identical for any worker count, lane
+// count and fault plan; `ci.sh` and the differential tests enforce that.
+//
+// Fault decisions draw from the charged node's own fault lane only.
+// `SimRng::chance` consumes nothing for zero probabilities, so with an
+// inert plan they are no-ops and the digest matches a fault-free run
+// bit-for-bit. Frame loss and link kills charge the *receiver*, connection
+// refusals the *initiator*.
 
-/// Buffered effects of one epoch worker, replayed serially at commit.
+/// A batch event tagged with its home node and batch position.
+type Tagged = (u32, u32, Ev);
+
+/// Buffered effects of one executor, replayed serially at commit.
 #[derive(Default)]
 struct EpochOutbox {
-    /// Events to schedule, in execution order. Consumed back-to-front after
-    /// a `reverse()` at commit.
+    /// Events to schedule, in execution order.
     schedules: Vec<(SimTime, Ev)>,
     /// Trace records against the frozen pool, in execution order.
     records: Vec<PendingRecord>,
@@ -1326,21 +694,23 @@ struct EpochOutbox {
     stats: TraceStats,
 }
 
-/// One worker's execution context: a disjoint `&mut` range of node
-/// runtimes, shared frozen state, and the outbox collecting effects.
+/// The executor: a `&mut` range of node runtimes and a link table, shared
+/// frozen state, and the outbox collecting effects.
 struct EpochWorker<'a, A> {
     view: EpochView<'a>,
     env: &'a RadioEnv,
-    down: &'a BTreeSet<NodeId>,
     infos: &'a [DeviceInfo],
     actor_ids: &'a [ActorId],
     trace: &'a Trace,
     seed: u64,
     now: SimTime,
-    /// First node index of this worker's chunk.
+    /// First node index of this worker's range.
     base: usize,
     nodes: &'a mut [NodeRt<A>],
-    out: EpochOutbox,
+    /// The cluster's table for the one-worker shape; an empty table of the
+    /// worker's own for the N-worker shape.
+    links: &'a mut LinkTable,
+    out: &'a mut EpochOutbox,
     /// Reused gather buffer for [`EpochView::neighbors`].
     scratch: Vec<u32>,
 }
@@ -1350,15 +720,24 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         &mut self.nodes[node.index() - self.base]
     }
 
-    /// Executes one eligible event and closes its effect span.
+    /// Executes one event and closes its effect span.
     fn run_ev(&mut self, batch_idx: u32, ev: Ev) {
+        self.dispatch(ev);
+        self.out.spans.push((
+            batch_idx,
+            self.out.schedules.len() as u32,
+            self.out.records.len() as u32,
+        ));
+    }
+
+    fn dispatch(&mut self, ev: Ev) {
+        let now = self.now;
         match ev {
             Ev::Start(node) => {
                 self.app_callback(node, |app, ctx| app.on_start(ctx));
                 self.feed_daemon(node, DaemonInput::Tick);
             }
             Ev::DaemonWake(node) => {
-                let now = self.now;
                 self.rt(node).wakes.remove(now);
                 self.feed_daemon(node, DaemonInput::Tick);
             }
@@ -1370,6 +749,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                 tech,
                 found,
             } => {
+                // The responder must still be in range when its answer lands.
                 if self.view.reachable(seeker, found, tech) {
                     self.out.stats.inquiry_responses += 1;
                     let device = self.infos[found.index()].clone();
@@ -1415,58 +795,198 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                     );
                 }
             }
-            _ => unreachable!("ineligible event reached the epoch engine"),
+            Ev::ConnectSetupDone {
+                initiator,
+                attempt,
+                target,
+                service,
+                tech,
+                resume,
+            } => {
+                let failure = if !self.view.reachable(initiator, target, tech) {
+                    // The peer moved away while setup was in flight: a
+                    // failed connect like any other, plus its own counter
+                    // so summaries can tell it apart from refusals.
+                    self.out.stats.connects_lost_setup += 1;
+                    Some(format!("{tech} peer out of range during setup"))
+                } else if self.rt(target).down {
+                    // The target's daemon is inside a crash window: nobody
+                    // is listening, so the transport reports a refusal.
+                    Some(format!("{tech} peer daemon not responding"))
+                } else {
+                    None
+                };
+                if let Some(reason) = failure {
+                    self.out.stats.connects_failed += 1;
+                    self.feed_daemon(
+                        initiator,
+                        DaemonInput::Plugin(PluginEvent::ConnectResult {
+                            attempt,
+                            result: Err(reason),
+                        }),
+                    );
+                    return;
+                }
+                let link = LinkId::new(self.links.next);
+                self.links.next += 1;
+                self.links.map.insert(
+                    link,
+                    Link {
+                        a: initiator,
+                        b: target,
+                        tech,
+                        pending: Some((initiator, attempt)),
+                        last_arrival_to_a: now,
+                        last_arrival_to_b: now,
+                        degraded_notified: false,
+                    },
+                );
+                let device = self.infos[initiator.index()].clone();
+                self.feed_daemon(
+                    target,
+                    DaemonInput::Plugin(PluginEvent::IncomingConnection {
+                        link,
+                        device,
+                        service,
+                        technology: tech,
+                        resume,
+                    }),
+                );
+            }
+            Ev::ConnectResultArrive {
+                to,
+                attempt,
+                result,
+            } => {
+                if result.is_ok() {
+                    self.out.stats.connects_ok += 1;
+                } else {
+                    self.out.stats.connects_failed += 1;
+                }
+                self.feed_daemon(
+                    to,
+                    DaemonInput::Plugin(PluginEvent::ConnectResult { attempt, result }),
+                );
+            }
+            Ev::FrameArrive { to, link, payload } => {
+                // The link may have been torn down while the frame was in
+                // flight, and frames toward a crashed daemon fall on the
+                // floor.
+                let Some((a, b, tech)) = self.links.map.get(&link).map(|l| (l.a, l.b, l.tech))
+                else {
+                    self.out.stats.frames_dropped += 1;
+                    return;
+                };
+                if self.rt(to).down || self.frame_lost(to, tech) {
+                    self.out.stats.frames_dropped += 1;
+                    return;
+                }
+                if self.link_killed(to, tech) || !self.view.reachable(a, b, tech) {
+                    self.out.stats.frames_dropped += 1;
+                    self.tear_down_link(link);
+                    return;
+                }
+                self.out.stats.frames_delivered += 1;
+                self.out.stats.bytes_delivered += payload.len() as u64;
+                self.feed_daemon(
+                    to,
+                    DaemonInput::Plugin(PluginEvent::Frame { link, payload }),
+                );
+            }
+            Ev::PeerClosedArrive { to, link } => {
+                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::PeerClosed { link }));
+            }
+            Ev::LinkDownArrive { to, link } => {
+                self.feed_daemon(to, DaemonInput::Plugin(PluginEvent::LinkDown { link }));
+            }
+            Ev::CrashStart(node) => {
+                // Crash windows may name nodes that were never added; crash
+                // events always run on the one-worker shape, whose range is
+                // the whole node table.
+                if node.index() >= self.nodes.len()
+                    || std::mem::replace(&mut self.rt(node).down, true)
+                {
+                    return;
+                }
+                // Every radio link with an endpoint on the node dies; peers
+                // notice after the usual transport detection delay.
+                let dead: Vec<LinkId> = self
+                    .links
+                    .map
+                    .iter()
+                    .filter(|(_, l)| l.a == node || l.b == node)
+                    .map(|(id, _)| *id)
+                    .collect();
+                for link in dead {
+                    self.tear_down_link(link);
+                }
+                // The daemon process restarts from empty soft state; the
+                // local application sees its connections close. Any requests
+                // it issues in response are lost — the daemon is down.
+                let mut outs = Vec::new();
+                self.rt(node).daemon.crash_restart(now, &mut outs);
+                let mut discarded = VecDeque::new();
+                for out in outs {
+                    if let DaemonOutput::App(ev) = out {
+                        self.deliver_app_event(node, ev, &mut discarded);
+                    }
+                }
+            }
+            Ev::CrashEnd(node) => {
+                if node.index() < self.nodes.len() && std::mem::take(&mut self.rt(node).down) {
+                    self.feed_daemon(node, DaemonInput::Tick);
+                }
+            }
         }
-        self.out.spans.push((
-            batch_idx,
-            self.out.schedules.len() as u32,
-            self.out.records.len() as u32,
-        ));
     }
 
-    /// Runs an application callback with a buffered trace sink, then
-    /// processes its timers and queued requests (mirrors the serial
-    /// `Start`/`AppTimer` arms).
-    fn app_callback(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>)) {
+    /// Runs an application callback with a buffered trace sink and
+    /// schedules the timers it set.
+    fn in_app<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
         let mut timers = Vec::new();
-        {
-            let rt = &mut self.nodes[node.index() - self.base];
-            let mut ctx = AppCtx::with_sink(
-                self.now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                TraceSink::Buffer {
-                    trace: self.trace,
-                    actor_id: self.actor_ids[node.index()],
-                    out: &mut self.out.records,
-                },
-            );
-            f(&mut rt.app, &mut ctx);
-        }
-        self.after_app_callback(node, timers);
-    }
-
-    fn after_app_callback(&mut self, node: NodeId, timers: Vec<(SimTime, u64)>) {
+        let rt = &mut self.nodes[node.index() - self.base];
+        let mut ctx = AppCtx::with_sink(
+            self.now,
+            &self.infos[node.index()].name,
+            &mut rt.lib,
+            &mut timers,
+            TraceSink::Buffer {
+                trace: self.trace,
+                actor_id: self.actor_ids[node.index()],
+                out: &mut self.out.records,
+            },
+        );
+        let result = f(&mut rt.app, &mut ctx);
         for (at, token) in timers {
             self.out.schedules.push((at, Ev::AppTimer(node, token)));
         }
-        let requests = self.rt(node).lib.drain();
-        for req in requests {
-            self.feed_daemon(node, DaemonInput::App(req));
-        }
+        result
     }
 
+    /// Runs an application callback, then feeds its queued requests to the
+    /// daemon.
+    fn app_callback<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R) -> R {
+        let result = self.in_app(node, f);
+        for req in self.rt(node).lib.drain() {
+            self.feed_daemon(node, DaemonInput::App(req));
+        }
+        result
+    }
+
+    /// Runs the daemon input loop: daemon outputs may produce app events,
+    /// whose handlers may queue further daemon requests, and so on until
+    /// quiescent.
     fn feed_daemon(&mut self, node: NodeId, input: DaemonInput) {
         let mut work: VecDeque<(NodeId, DaemonInput)> = VecDeque::new();
         work.push_back((node, input));
         while let Some((n, input)) = work.pop_front() {
-            if self.down.contains(&n) {
+            let now = self.now;
+            let rt = self.rt(n);
+            if rt.down {
+                // Crashed daemons consume nothing until their restart.
                 continue;
             }
             let mut outs = Vec::new();
-            let now = self.now;
-            let rt = &mut self.nodes[n.index() - self.base];
             let before = *rt.daemon.recovery_stats();
             rt.daemon.handle(now, input, &mut outs);
             let after = *rt.daemon.recovery_stats();
@@ -1496,25 +1016,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         if matches!(event, AppEvent::Handover { .. }) {
             self.out.stats.handovers += 1;
         }
-        let mut timers = Vec::new();
-        {
-            let rt = &mut self.nodes[node.index() - self.base];
-            let mut ctx = AppCtx::with_sink(
-                self.now,
-                &self.infos[node.index()].name,
-                &mut rt.lib,
-                &mut timers,
-                TraceSink::Buffer {
-                    trace: self.trace,
-                    actor_id: self.actor_ids[node.index()],
-                    out: &mut self.out.records,
-                },
-            );
-            rt.app.on_event(event, &mut ctx);
-        }
-        for (at, token) in timers {
-            self.out.schedules.push((at, Ev::AppTimer(node, token)));
-        }
+        self.in_app(node, |app, ctx| app.on_event(event, ctx));
         for req in self.rt(node).lib.drain() {
             work.push_back((node, DaemonInput::App(req)));
         }
@@ -1527,6 +1029,9 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         }
     }
 
+    /// Advances the receiving node's per-technology Gilbert channel and
+    /// samples one frame. An inert profile draws nothing, so it also skips
+    /// materializing the node's lazy fault state.
     fn frame_lost(&mut self, to: NodeId, tech: Technology) -> bool {
         let profile = *self.env.faults().profile(tech);
         if profile.is_inert() {
@@ -1537,22 +1042,46 @@ impl<'a, A: Application> EpochWorker<'a, A> {
         profile.frame_lost(&mut f.burst[tech_slot(tech)], &mut f.rng)
     }
 
+    /// Samples whether the whole link dies under this frame (charged to the
+    /// receiver's fault lane).
+    fn link_killed(&mut self, to: NodeId, tech: Technology) -> bool {
+        let p = self.env.faults().profile(tech).link_kill;
+        let seed = self.seed;
+        // `chance(0)` draws nothing — don't materialize fault state for it.
+        p > 0.0 && self.rt(to).fault(seed, to).rng.chance(p)
+    }
+
+    /// Samples whether a connection attempt is refused outright (charged to
+    /// the initiator's fault lane).
     fn connect_refused(&mut self, initiator: NodeId, tech: Technology) -> bool {
         let p = self.env.faults().profile(tech).connect_refuse;
         let seed = self.seed;
         p > 0.0 && self.rt(initiator).fault(seed, initiator).rng.chance(p)
     }
 
-    /// Worker-side plugin execution for the eligible command subset. The
-    /// link-table commands (`Accept`/`Reject`/`SendFrame`/`CloseLink`) are
-    /// provable no-ops here: the eligibility gate guarantees the link table
-    /// is empty and no eligible event can create a link, so the serial arms
-    /// would fall through their `links.get(..)` misses without any effect.
+    /// Reports a lost radio link to both endpoints after the transport's
+    /// detection delay and forgets it.
+    fn tear_down_link(&mut self, link: LinkId) {
+        if let Some(l) = self.links.map.remove(&link) {
+            let at = self.now + LINK_DOWN_DETECT;
+            self.out
+                .schedules
+                .push((at, Ev::LinkDownArrive { to: l.a, link }));
+            self.out
+                .schedules
+                .push((at, Ev::LinkDownArrive { to: l.b, link }));
+        }
+    }
+
+    /// Executes one daemon command: the simulated BT/WLAN/GPRS plugins.
     fn exec_command(&mut self, node: NodeId, cmd: PluginCommand) {
         let now = self.now;
         match cmd {
             PluginCommand::StartInquiry { technology } => {
                 self.out.stats.inquiries += 1;
+                // One range query against the epoch's frozen positions;
+                // every responder is then scheduled off this snapshot, with
+                // all draws from the seeker's own lane.
                 let mut scratch = std::mem::take(&mut self.scratch);
                 let neighbors = self.view.neighbors(node, technology, &mut scratch);
                 self.scratch = scratch;
@@ -1597,6 +1126,8 @@ impl<'a, A: Application> EpochWorker<'a, A> {
                         },
                     ));
                 } else {
+                    // Unanswerable: deliver an empty reply after a timeout
+                    // so pending application requests resolve.
                     self.out.schedules.push((
                         now + SDP_TIMEOUT,
                         Ev::ServiceReplyArrive {
@@ -1610,6 +1141,7 @@ impl<'a, A: Application> EpochWorker<'a, A> {
             }
             PluginCommand::ServiceQueryReply { device, services } => {
                 let target = NodeId::from_index(device.raw() as usize);
+                // Route the reply back over the cheapest shared technology.
                 let tech = Technology::ALL
                     .into_iter()
                     .find(|&t| self.view.reachable(node, target, t));
@@ -1639,222 +1171,204 @@ impl<'a, A: Application> EpochWorker<'a, A> {
             } => {
                 self.out.stats.connects_attempted += 1;
                 let target = NodeId::from_index(device.raw() as usize);
-                // Setup delay drawn from the main stream *before* the
-                // refusal decision, exactly as the serial arm does.
+                // The setup delay is drawn from the main stream *before* the
+                // refusal decision, so an inert fault plan leaves the main
+                // stream untouched.
                 let delay = self
                     .env
                     .profile(technology)
                     .connect_time(&mut self.rt(node).rng);
-                if self.connect_refused(node, technology) {
-                    self.out.schedules.push((
-                        now + delay,
-                        Ev::ConnectResultArrive {
-                            to: node,
-                            attempt,
-                            result: Err(format!("{technology} connection refused")),
-                        },
-                    ));
+                let ev = if self.connect_refused(node, technology) {
+                    Ev::ConnectResultArrive {
+                        to: node,
+                        attempt,
+                        result: Err(format!("{technology} connection refused")),
+                    }
                 } else if self.view.reachable(node, target, technology) {
-                    self.out.schedules.push((
-                        now + delay,
-                        Ev::ConnectSetupDone {
-                            initiator: node,
-                            attempt,
-                            target,
-                            service,
-                            tech: technology,
-                            resume,
-                        },
-                    ));
+                    Ev::ConnectSetupDone {
+                        initiator: node,
+                        attempt,
+                        target,
+                        service,
+                        tech: technology,
+                        resume,
+                    }
                 } else {
+                    // A failed paging attempt costs about the setup time.
+                    Ev::ConnectResultArrive {
+                        to: node,
+                        attempt,
+                        result: Err(format!("{technology} peer out of range")),
+                    }
+                };
+                self.out.schedules.push((now + delay, ev));
+            }
+            PluginCommand::AcceptConnection { link } => {
+                let Some(l) = self.links.map.get_mut(&link) else {
+                    return;
+                };
+                if let Some((initiator, attempt)) = l.pending.take() {
+                    let tech = l.tech;
+                    let delay = self
+                        .env
+                        .profile(tech)
+                        .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
                     self.out.schedules.push((
                         now + delay,
                         Ev::ConnectResultArrive {
-                            to: node,
+                            to: initiator,
                             attempt,
-                            result: Err(format!("{technology} peer out of range")),
+                            result: Ok(link),
                         },
                     ));
                 }
             }
-            PluginCommand::AcceptConnection { .. }
-            | PluginCommand::RejectConnection { .. }
-            | PluginCommand::SendFrame { .. }
-            | PluginCommand::CloseLink { .. } => {
-                // Empty link table (eligibility invariant): the serial arms
-                // are no-ops for unknown links.
+            PluginCommand::RejectConnection { link, reason } => {
+                let Some(l) = self.links.map.remove(&link) else {
+                    return;
+                };
+                if let Some((initiator, attempt)) = l.pending {
+                    let delay = self
+                        .env
+                        .profile(l.tech)
+                        .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
+                    self.out.schedules.push((
+                        now + delay,
+                        Ev::ConnectResultArrive {
+                            to: initiator,
+                            attempt,
+                            result: Err(reason),
+                        },
+                    ));
+                }
+            }
+            PluginCommand::SendFrame { link, payload } => {
+                let Some(l) = self.links.map.get_mut(&link) else {
+                    return;
+                };
+                let (a, b, tech) = (l.a, l.b, l.tech);
+                let peer = l.other(node);
+                let rng = &mut self.nodes[node.index() - self.base].rng;
+                let delay = self.env.profile(tech).transfer_time(payload.len(), rng);
+                let at = l.fifo_arrival(peer, now + delay);
+                self.out.stats.frames_sent += 1;
+                self.out.stats.bytes_sent += payload.len() as u64;
+                if !self.view.reachable(a, b, tech) {
+                    self.out.stats.frames_dropped += 1;
+                    self.tear_down_link(link);
+                    return;
+                }
+                self.out.schedules.push((
+                    at,
+                    Ev::FrameArrive {
+                        to: peer,
+                        link,
+                        payload,
+                    },
+                ));
+                // Edge-of-range warning: past 90 % of the radio range the
+                // plugin reports a weakening link (once), letting the
+                // daemon hand over make-before-break.
+                let range = self.env.profile(tech).range_m;
+                if range.is_finite() {
+                    let distance = self.view.position(a).distance(self.view.position(b));
+                    let near_edge = distance > 0.9 * range;
+                    let notify = near_edge && !l.degraded_notified;
+                    l.degraded_notified = near_edge;
+                    if notify {
+                        self.feed_daemon(
+                            node,
+                            DaemonInput::Plugin(PluginEvent::LinkDegraded { link }),
+                        );
+                    }
+                }
+            }
+            PluginCommand::CloseLink { link } => {
+                let Some(mut l) = self.links.map.remove(&link) else {
+                    return;
+                };
+                let peer = l.other(node);
+                let delay = self
+                    .env
+                    .profile(l.tech)
+                    .transfer_time(CTRL_BYTES, &mut self.rt(node).rng);
+                // The orderly close must not overtake in-flight frames.
+                let at = l.fifo_arrival(peer, now + delay);
+                self.out
+                    .schedules
+                    .push((at, Ev::PeerClosedArrive { to: peer, link }));
             }
         }
     }
 }
 
-impl<A: Application + Send> Cluster<A> {
-    /// Processes events until the queue is exhausted or the next event is
-    /// after `deadline`; the clock then stands at `deadline`.
-    ///
-    /// Events are drained one timestamp batch at a time. Batches whose
-    /// events are all node-local (see the engine comment above) execute
-    /// through the parallel lane-epoch engine — with one worker they run
-    /// inline on the same code path — and everything else dispatches
-    /// serially. Both paths produce bit-identical traces, so the digest is
-    /// independent of [`Cluster::set_threads`].
-    pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        loop {
-            let t0 = self.collect_timing.then(Instant::now);
-            let drained = self.queue.drain_batch(deadline, &mut batch);
-            if let Some(t0) = t0 {
-                self.timing.drain += t0.elapsed();
-            }
-            let Some(t) = drained else {
-                break;
-            };
-            if batch.len() >= 2 && self.batch_eligible(&batch) {
-                self.run_epoch(t, &mut batch);
-            } else {
-                self.timing.serial_batches += 1;
-                self.timing.serial_events += batch.len() as u64;
-                let t0 = self.collect_timing.then(Instant::now);
-                for ev in batch.drain(..) {
-                    self.dispatch(ev);
-                }
-                if let Some(t0) = t0 {
-                    self.timing.execute += t0.elapsed();
-                }
-            }
-        }
-        self.batch_buf = batch;
-        self.queue.advance_to(deadline);
+impl<A: Application> Cluster<A> {
+    /// Runs `exec` on the one-worker executor at the current instant and
+    /// commits its effects.
+    fn solo<R>(&mut self, exec: impl FnOnce(&mut EpochWorker<'_, A>) -> R) -> R {
+        let (result, boxes) = self.execute_solo(self.queue.now(), exec);
+        self.commit(boxes);
+        result
     }
 
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.now() + d;
-        self.run_until(deadline);
-    }
-
-    /// Whether every event in the batch is node-local under an empty link
-    /// table — the precondition for concurrent execution.
-    fn batch_eligible(&self, batch: &[Ev]) -> bool {
-        self.links.is_empty()
-            && batch.iter().all(|ev| {
-                matches!(
-                    ev,
-                    Ev::Start(_)
-                        | Ev::DaemonWake(_)
-                        | Ev::AppTimer(..)
-                        | Ev::InquiryFound { .. }
-                        | Ev::InquiryDone { .. }
-                        | Ev::ServiceQueryArrive { .. }
-                        | Ev::ServiceReplyArrive { .. }
-                )
-            })
-    }
-
-    /// Executes one eligible timestamp batch through the lane-epoch engine:
-    /// partition by home node → concurrent lane-local execution → serial
-    /// outbox commit in canonical batch order.
-    fn run_epoch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
-        self.timing.par_batches += 1;
-        self.timing.par_events += batch.len() as u64;
-
-        // ---- gather: partition the batch by home node ----
-        let tg = self.collect_timing.then(Instant::now);
+    /// Runs `exec` on one worker over the whole node table, holding the
+    /// cluster's link table, and returns its result with the outbox to
+    /// commit.
+    fn execute_solo<R>(
+        &mut self,
+        t: SimTime,
+        exec: impl FnOnce(&mut EpochWorker<'_, A>) -> R,
+    ) -> (R, Vec<EpochOutbox>) {
         self.world.prepare_epoch(t);
-        // Tag each event with (home node, batch position); sorting by that
-        // key groups events per node while preserving per-node batch order,
-        // which is what keeps each node's RNG/daemon stream serial-exact.
-        let mut tagged: Vec<(u32, u32, Ev)> = batch
-            .drain(..)
-            .enumerate()
-            .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
-            .collect();
-        tagged.sort_unstable_by_key(|e| (e.0, e.1));
-        let threads = netsim::par::effective_threads(self.threads);
-        let workers = threads
-            .min(tagged.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
-            .max(1);
-        // Node-aligned cuts balancing the event count per worker. `bounds`
-        // partitions the node table, `ev_cuts` the tagged event list.
-        let mut bounds: Vec<usize> = vec![0];
-        let mut ev_cuts: Vec<usize> = vec![0];
-        let per = tagged.len().div_ceil(workers);
-        let mut next_cut = per;
-        for j in 1..tagged.len() {
-            if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
-                bounds.push(tagged[j].0 as usize);
-                ev_cuts.push(j);
-                next_cut = j + per;
+        let mut boxes = std::mem::take(&mut self.outboxes);
+        boxes.resize_with(1, EpochOutbox::default);
+        let result = exec(&mut EpochWorker {
+            view: self.world.epoch_view(t),
+            env: &self.env,
+            infos: &self.infos,
+            actor_ids: &self.actor_ids,
+            trace: &self.trace,
+            seed: self.seed,
+            now: t,
+            base: 0,
+            nodes: &mut self.nodes,
+            links: &mut self.links,
+            out: &mut boxes[0],
+            scratch: Vec::new(),
+        });
+        (result, boxes)
+    }
+
+    /// Replays executor outboxes in canonical batch order, then keeps the
+    /// first (emptied) for reuse.
+    fn commit(&mut self, mut boxes: Vec<EpochOutbox>) {
+        if let [out] = boxes.as_mut_slice() {
+            // One worker executed its events in order: its effects already
+            // are canonical.
+            for (at, ev) in out.schedules.drain(..) {
+                self.schedule_ev(at, ev);
             }
+            for record in out.records.drain(..) {
+                record.replay(&mut self.trace);
+            }
+        } else {
+            self.merge_outboxes(&mut boxes);
         }
-        bounds.push(self.nodes.len());
-        ev_cuts.push(tagged.len());
-        // Split the tagged events into per-worker owned parts (the events
-        // must move — their payloads are consumed by the handlers).
-        let mut parts: Vec<Vec<(u32, u32, Ev)>> = Vec::with_capacity(bounds.len() - 1);
-        for w in (1..ev_cuts.len() - 1).rev() {
-            parts.push(tagged.split_off(ev_cuts[w]));
-        }
-        parts.push(tagged);
-        parts.reverse();
-        if let Some(tg) = tg {
-            self.timing.gather += tg.elapsed();
-        }
-
-        // ---- execute: one scoped worker per node range ----
-        let te = self.collect_timing.then(Instant::now);
-        let view = self.world.epoch_view(t);
-        let env = &self.env;
-        let down = &self.down;
-        let infos = &self.infos;
-        let actor_ids = &self.actor_ids;
-        let trace = &self.trace;
-        let seed = self.seed;
-        let mut boxes = netsim::par::map_chunks_mut_with(
-            &mut self.nodes,
-            &bounds,
-            parts,
-            |_ci, base, chunk, mut part| {
-                // Execute in original batch order, not the node-grouped
-                // order the partitioning sort left behind: batch indices
-                // are unique and per-node ascending, so this preserves
-                // every node's serial-exact stream while making the
-                // worker's outbox spans ascend in batch index — the
-                // invariant the commit merge below relies on.
-                part.sort_unstable_by_key(|e| e.1);
-                let mut w = EpochWorker {
-                    view,
-                    env,
-                    down,
-                    infos,
-                    actor_ids,
-                    trace,
-                    seed,
-                    now: t,
-                    base,
-                    nodes: chunk,
-                    out: EpochOutbox::default(),
-                    scratch: Vec::new(),
-                };
-                for (_, batch_idx, ev) in part {
-                    w.run_ev(batch_idx, ev);
-                }
-                w.out
-            },
-        );
-        if let Some(te) = te {
-            self.timing.execute += te.elapsed();
-        }
-
-        // ---- commit: replay outboxes in canonical batch order ----
-        // Each worker's spans carry ascending batch indices, so a k-way
-        // merge over the workers visits events in exactly the order the
-        // serial engine would have dispatched them. Replaying schedules
-        // reproduces the global sequence numbers; replaying records
-        // reproduces pool interning and ring eviction; the stat deltas are
-        // commutative sums folded at the end.
-        let tc = self.collect_timing.then(Instant::now);
         for b in &mut boxes {
+            self.trace.stats_mut().add(&std::mem::take(&mut b.stats));
+            b.spans.clear();
+        }
+        boxes.truncate(1);
+        self.outboxes = boxes;
+    }
+
+    /// The N-worker commit. Each worker's spans carry ascending batch
+    /// indices, so a k-way merge over the workers visits events in exactly
+    /// batch order. Replaying schedules reproduces the global sequence
+    /// numbers; replaying records reproduces pool interning and ring
+    /// eviction.
+    fn merge_outboxes(&mut self, boxes: &mut [EpochOutbox]) {
+        for b in boxes.iter_mut() {
             b.schedules.reverse();
             b.records.reverse();
         }
@@ -1890,12 +1404,192 @@ impl<A: Application + Send> Cluster<A> {
                 rec_done[w] += 1;
             }
         }
-        for b in &boxes {
-            self.trace.stats_mut().add(&b.stats);
+    }
+}
+
+impl<A: Application + Send> Cluster<A> {
+    /// Processes events until the queue is exhausted or the next event is
+    /// after `deadline`; the clock then stands at `deadline`.
+    ///
+    /// Events are drained one timestamp batch at a time. Batches whose
+    /// events are all node-local (see the executor comment above) fan out
+    /// over the configured workers; everything else runs on one worker
+    /// holding the link table. Both shapes produce bit-identical traces, so
+    /// the digest is independent of [`Cluster::set_threads`].
+    pub fn run_until(&mut self, deadline: SimTime) {
+        let mut batch = std::mem::take(&mut self.batch_buf);
+        loop {
+            let t0 = self.collect_timing.then(Instant::now);
+            let drained = self.queue.drain_batch(deadline, &mut batch);
+            if let Some(t0) = t0 {
+                self.timing.drain += t0.elapsed();
+            }
+            let Some(t) = drained else {
+                break;
+            };
+            self.run_batch(t, &mut batch);
         }
+        self.batch_buf = batch;
+        self.queue.advance_to(deadline);
+    }
+
+    /// Runs for `d` of virtual time from the current instant.
+    pub fn run_for(&mut self, d: Duration) {
+        let deadline = self.now() + d;
+        self.run_until(deadline);
+    }
+
+    /// Whether every event in the batch is node-local under an empty link
+    /// table — the precondition for concurrent execution.
+    fn batch_eligible(&self, batch: &[Ev]) -> bool {
+        self.links.map.is_empty()
+            && batch.iter().all(|ev| {
+                matches!(
+                    ev,
+                    Ev::Start(_)
+                        | Ev::DaemonWake(_)
+                        | Ev::AppTimer(..)
+                        | Ev::InquiryFound { .. }
+                        | Ev::InquiryDone { .. }
+                        | Ev::ServiceQueryArrive { .. }
+                        | Ev::ServiceReplyArrive { .. }
+                )
+            })
+    }
+
+    /// Executes one timestamp batch — on one worker, or on N workers over
+    /// disjoint node ranges when it is eligible and large enough — and
+    /// commits its effects in canonical batch order.
+    fn run_batch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
+        let workers = if batch.len() >= 2 && self.batch_eligible(batch) {
+            self.timing.par_batches += 1;
+            self.timing.par_events += batch.len() as u64;
+            netsim::par::effective_threads(self.threads)
+                .min(batch.len().div_ceil(EPOCH_MIN_EVENTS_PER_WORKER))
+        } else {
+            self.timing.serial_batches += 1;
+            self.timing.serial_events += batch.len() as u64;
+            1
+        };
+        let split = (workers > 1).then(|| self.partition(t, batch, workers));
+
+        let te = self.collect_timing.then(Instant::now);
+        let boxes = match split {
+            None => {
+                let events = batch.drain(..).zip(0u32..);
+                self.execute_solo(t, |w| events.for_each(|(ev, i)| w.run_ev(i, ev)))
+                    .1
+            }
+            Some((bounds, parts)) => self.execute_parallel(t, &bounds, parts),
+        };
+        if let Some(te) = te {
+            self.timing.execute += te.elapsed();
+        }
+
+        let tc = self.collect_timing.then(Instant::now);
+        self.commit(boxes);
         if let Some(tc) = tc {
             self.timing.commit += tc.elapsed();
         }
+    }
+
+    /// The gather phase of an N-worker batch: tags each event with its
+    /// (home node, batch position) and cuts the node table into at most
+    /// `workers` node-aligned ranges balancing the event count. Returns
+    /// the range bounds and each range's events.
+    fn partition(
+        &mut self,
+        t: SimTime,
+        batch: &mut Vec<Ev>,
+        workers: usize,
+    ) -> (Vec<usize>, Vec<Vec<Tagged>>) {
+        let tg = self.collect_timing.then(Instant::now);
+        self.world.prepare_epoch(t);
+        // Sorting by (home node, batch position) groups events per node
+        // while preserving per-node batch order, which is what keeps each
+        // node's RNG/daemon stream exact.
+        let mut tagged: Vec<Tagged> = batch
+            .drain(..)
+            .enumerate()
+            .map(|(i, ev)| (ev_target(&ev).index() as u32, i as u32, ev))
+            .collect();
+        tagged.sort_unstable_by_key(|e| (e.0, e.1));
+        // `bounds` partitions the node table, `ev_cuts` the tagged events.
+        let mut bounds: Vec<usize> = vec![0];
+        let mut ev_cuts: Vec<usize> = vec![0];
+        let per = tagged.len().div_ceil(workers);
+        let mut next_cut = per;
+        for j in 1..tagged.len() {
+            if j >= next_cut && tagged[j].0 != tagged[j - 1].0 && bounds.len() < workers {
+                bounds.push(tagged[j].0 as usize);
+                ev_cuts.push(j);
+                next_cut = j + per;
+            }
+        }
+        bounds.push(self.nodes.len());
+        ev_cuts.push(tagged.len());
+        // Split the tagged events into per-worker owned parts (the events
+        // must move — their payloads are consumed by the handlers).
+        let mut parts: Vec<Vec<Tagged>> = Vec::with_capacity(bounds.len() - 1);
+        for w in (1..ev_cuts.len() - 1).rev() {
+            parts.push(tagged.split_off(ev_cuts[w]));
+        }
+        parts.push(tagged);
+        parts.reverse();
+        if let Some(tg) = tg {
+            self.timing.gather += tg.elapsed();
+        }
+        (bounds, parts)
+    }
+
+    /// Runs one scoped worker per node range, each over its own events.
+    fn execute_parallel(
+        &mut self,
+        t: SimTime,
+        bounds: &[usize],
+        parts: Vec<Vec<Tagged>>,
+    ) -> Vec<EpochOutbox> {
+        let view = self.world.epoch_view(t);
+        let env = &self.env;
+        let infos = &self.infos;
+        let actor_ids = &self.actor_ids;
+        let trace = &self.trace;
+        let seed = self.seed;
+        netsim::par::map_chunks_mut_with(
+            &mut self.nodes,
+            bounds,
+            parts,
+            |_ci, base, chunk, mut part| {
+                // Execute in original batch order, not the node-grouped
+                // order the partitioning sort left behind: batch indices
+                // are unique and per-node ascending, so this preserves
+                // every node's exact stream while making the worker's
+                // outbox spans ascend in batch index — the invariant the
+                // commit merge relies on.
+                part.sort_unstable_by_key(|e| e.1);
+                let mut links = LinkTable::default();
+                let mut out = EpochOutbox::default();
+                let mut w = EpochWorker {
+                    view,
+                    env,
+                    infos,
+                    actor_ids,
+                    trace,
+                    seed,
+                    now: t,
+                    base,
+                    nodes: chunk,
+                    links: &mut links,
+                    out: &mut out,
+                    scratch: Vec::new(),
+                };
+                for (_, batch_idx, ev) in part {
+                    w.run_ev(batch_idx, ev);
+                }
+                debug_assert!(links.map.is_empty(), "an eligible batch opened a link");
+                out
+            },
+        )
     }
 }
 
@@ -1917,6 +1611,9 @@ mod tests {
         closed: Vec<crate::types::CloseReason>,
         handover: Vec<(Technology, Technology)>,
         register_community: bool,
+        /// Peers to dial every 5 s from t = 15 s; while dialing, a frame
+        /// goes out on every connection each 500 ms, until t = 45 s.
+        dial: Vec<DeviceId>,
     }
 
     impl Application for Recorder {
@@ -1924,6 +1621,23 @@ mod tests {
             if self.register_community {
                 ctx.peerhood()
                     .register_service(ServiceInfo::new("PeerHoodCommunity"));
+            }
+            if !self.dial.is_empty() {
+                ctx.set_timer(Duration::from_secs(15), 0);
+            }
+        }
+
+        fn on_timer(&mut self, tick: u64, ctx: &mut AppCtx<'_>) {
+            if tick.is_multiple_of(10) {
+                for &peer in &self.dial {
+                    ctx.peerhood().connect(peer, "PeerHoodCommunity");
+                }
+            }
+            for &conn in &self.connected {
+                ctx.peerhood().send(conn, Bytes::from_static(b"chunk"));
+            }
+            if tick < 60 {
+                ctx.set_timer(Duration::from_millis(500), tick + 1);
             }
         }
 
@@ -2508,5 +2222,71 @@ mod tests {
         c.with_app(a, |_, ctx| ctx.peerhood().connect(bob, "PeerHoodCommunity"));
         c.run_until(SimTime::from_secs(70));
         assert_eq!(c.app(a).connected.len(), 2, "post-restart connect works");
+    }
+
+    /// Pins the link arms no committed report digest covers — connect
+    /// refusal, mid-flight link kill, and a crash window over an open link
+    /// — to recorded constants. The batched engine and the per-event
+    /// reference must both reproduce them.
+    #[test]
+    fn link_faults_and_crash_over_open_link_are_pinned() {
+        fn run(per_event: bool) -> (u64, TraceStats, [usize; 3]) {
+            let plan = FaultPlan::none()
+                .with_profile(
+                    Technology::Bluetooth,
+                    FaultProfile {
+                        frame_loss: 0.05,
+                        connect_refuse: 0.4,
+                        link_kill: 0.05,
+                        ..FaultProfile::NONE
+                    },
+                )
+                .with_crash(1, Duration::from_secs(24), Duration::from_secs(6));
+            let mut c = Cluster::with_env(2026, RadioEnv::default().with_faults(plan));
+            let nodes: Vec<NodeId> = (0..4u32)
+                .map(|i| {
+                    let mut app = recorder(i > 0);
+                    // Node 0 drives the traffic from its own timers.
+                    if i == 0 {
+                        app.dial = (1..4).map(DeviceId::new).collect();
+                    }
+                    c.add_node_with(
+                        NodeBuilder::new(format!("n{i}"))
+                            .at(Point2::new(2.0 * f64::from(i), 0.0))
+                            .with_technologies([Technology::Bluetooth]),
+                        |cfg| cfg.with_recovery(RecoveryPolicy::default()),
+                        app,
+                    )
+                })
+                .collect();
+            c.start();
+            let deadline = SimTime::from_secs(60);
+            if per_event {
+                c.run_until_condition(deadline, |_| false);
+            } else {
+                c.run_until(deadline);
+            }
+            let received: usize = nodes.iter().map(|&n| c.app(n).data.len()).sum();
+            let dialer = c.app(nodes[0]);
+            let counts = [dialer.connected.len(), dialer.closed.len(), received];
+            (c.trace().digest(), *c.stats(), counts)
+        }
+
+        let (digest, stats, counts) = run(false);
+        assert!(stats.connects_failed > 0, "refusals must fire: {stats}");
+        assert!(stats.frames_dropped > 0, "frames must be lost: {stats}");
+        assert!(counts[1] > 0, "kills and the crash must close links");
+        assert_eq!(format!("{digest:016x}"), "60c2c3fe08b0ef42");
+        assert_eq!(format!("{:016x}", stats.digest()), "bb040c08f09bb257");
+        assert_eq!(
+            (
+                stats.connects_ok,
+                stats.connects_failed,
+                stats.frames_dropped
+            ),
+            (20, 13, 27)
+        );
+        assert_eq!(counts, [20, 350, 165]);
+        assert_eq!(run(true), (digest, stats, counts));
     }
 }
