@@ -238,6 +238,12 @@ grep -m1 -o '"p99_us": [0-9]*' BENCH_live.tmp.json \
 mv BENCH_live.tmp.json BENCH_live.json
 cat BENCH_live.json
 
+# Peer-to-peer smoke: two community members in one in-process directory
+# discover each other, form a group and deliver a message over real
+# loopback TCP through the reactor's dial path. The example asserts all
+# three and exits nonzero otherwise.
+timeout 120 cargo run --release --offline --example live_tcp_demo
+
 {
     printf '{\n"serial": '
     cat BENCH_scale_serial.tmp.json

@@ -1,10 +1,10 @@
 //! The community application over the live TCP drivers: same state
 //! machines, real sockets, wall-clock time.
 //!
-//! Covers both drivers: the in-process demo network (`LiveNet`, built via
-//! `LiveConfig::network`) and the production serving reactor
-//! (`LiveServer`), including its backpressure shedding, slow-client
-//! isolation and journal-based restart resume.
+//! Covers the reactor (`LiveServer`) both as members of one in-process
+//! directory (`LiveNet`, built via `LiveConfig::network`) and standalone,
+//! including its backpressure shedding, slow-client isolation and
+//! journal-based restart resume.
 
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -31,24 +31,42 @@ fn member(name: &str, interests: &[&str]) -> CommunityApp {
     .with_refresh_interval(Duration::from_millis(400))
 }
 
+/// Polls `probe` on `server`'s core thread until it holds or `wall` passes.
+fn wait(
+    server: &LiveServer<CommunityApp>,
+    wall: Duration,
+    probe: impl Fn(&CommunityApp) -> bool + Clone + Send + 'static,
+) -> bool {
+    let deadline = Instant::now() + wall;
+    loop {
+        let probe = probe.clone();
+        if server.with_app(move |app, _| probe(app)) {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn three_member_community_over_real_sockets() {
-    let mut net = LiveConfig::default().network();
+    let net = LiveConfig::default().network();
     let alice = net
-        .spawn("alice-host", member("alice", &["rust", "sauna"]))
+        .serve("alice-host", member("alice", &["rust", "sauna"]))
         .expect("bind");
-    let _bob = net
-        .spawn("bob-host", member("bob", &["Rust", "chess"]))
+    let bob = net
+        .serve("bob-host", member("bob", &["Rust", "chess"]))
         .expect("bind");
-    let _carol = net
-        .spawn("carol-host", member("carol", &["rust", "sauna"]))
+    let carol = net
+        .serve("carol-host", member("carol", &["rust", "sauna"]))
         .expect("bind");
-    net.start();
 
     // Dynamic groups form across real TCP connections.
     assert!(
-        net.run_until(Duration::from_secs(15), |n| {
-            let groups = n.app(alice).groups();
+        wait(&alice, Duration::from_secs(15), |app| {
+            let groups = app.groups();
             groups
                 .iter()
                 .any(|g| g.key == "rust" && g.members.len() == 3)
@@ -57,32 +75,38 @@ fn three_member_community_over_real_sockets() {
                     .any(|g| g.key == "sauna" && g.members.len() == 2)
         }),
         "groups: {:?}",
-        net.app(alice).groups()
+        alice.with_app(|app, _| app.groups())
     );
 
     // A fan-out operation over the sockets.
-    let op = net.with_app(alice, |app, ctx| app.get_member_list(ctx));
-    assert!(net.run_until(Duration::from_secs(10), |n| n
-        .app(alice)
+    let op = alice.with_app(|app, ctx| app.get_member_list(ctx));
+    assert!(wait(&alice, Duration::from_secs(10), move |app| app
         .outcome(op)
         .is_some()));
-    match &net.app(alice).outcome(op).expect("completed").result {
+    match alice
+        .with_app(move |app, _| app.outcome(op).cloned())
+        .expect("completed")
+        .result
+    {
         OpResult::Members(names) => assert_eq!(names, &["bob", "carol"]),
         other => panic!("unexpected {other:?}"),
     }
 
     // A direct message.
-    let op = net.with_app(alice, |app, ctx| {
-        app.send_message("carol", "hi", "tcp!", ctx)
-    });
-    assert!(net.run_until(Duration::from_secs(10), |n| n
-        .app(alice)
+    let op = alice.with_app(|app, ctx| app.send_message("carol", "hi", "tcp!", ctx));
+    assert!(wait(&alice, Duration::from_secs(10), move |app| app
         .outcome(op)
         .is_some()));
     assert_eq!(
-        net.app(alice).outcome(op).expect("completed").result,
+        alice
+            .with_app(move |app, _| app.outcome(op).cloned())
+            .expect("completed")
+            .result,
         OpResult::MessageResult { written: true }
     );
+    for server in [alice, bob, carol] {
+        server.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -302,11 +326,8 @@ fn journal_resumes_community_state_across_restart() {
 
     // First life: boot around the journal, take a mutation over TCP.
     let (persist, _empty) = JournalPersist::open(&path).expect("open journal");
-    let server = LiveConfig::default()
-        .with_auto_service_discovery(false)
-        .with_snapshot_path(&path);
     let server = LiveServer::spawn_with(
-        server,
+        LiveConfig::default().with_auto_service_discovery(false),
         "live-daemon",
         member("bob", &["rust"]),
         Some(Box::new(persist)),
@@ -337,9 +358,7 @@ fn journal_resumes_community_state_across_restart() {
         1
     );
     let server = LiveServer::spawn_with(
-        LiveConfig::default()
-            .with_auto_service_discovery(false)
-            .with_snapshot_path(&path),
+        LiveConfig::default().with_auto_service_discovery(false),
         "live-daemon",
         CommunityApp::new(resumed).with_refresh_interval(Duration::from_millis(400)),
         Some(Box::new(persist)),

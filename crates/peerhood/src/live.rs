@@ -1,20 +1,23 @@
-//! Live drivers: the same daemon state machine over real TCP sockets.
+//! The live driver: the same daemon state machine over real TCP sockets.
 //!
 //! The simulator ([`crate::sim`]) executes [`Daemon`](crate::daemon::Daemon)
 //! inside a virtual world; this module executes the *identical* state
 //! machine against real sockets, proving the sans-IO design is not
-//! simulator-bound. Two drivers share one [`LiveConfig`] and one wire
-//! protocol ([`wire`]):
+//! simulator-bound. One driver does it, configured by [`LiveConfig`] and
+//! speaking one wire protocol ([`wire`]):
 //!
-//! * [`LiveNet`] — an in-process neighborhood of full peers on loopback
-//!   TCP, for demos and end-to-end tests (discovery is routed in-process).
-//! * [`LiveServer`] — the production serving reactor: sharded non-blocking
-//!   accept loops, bounded per-connection write queues with explicit
-//!   backpressure shedding, idle timeouts, and optional store persistence
-//!   via [`LivePersist`]. Built for thousands of concurrent thin clients.
+//! * [`LiveServer`] — the reactor: sharded non-blocking accept loops,
+//!   dialing, bounded per-connection write queues with explicit
+//!   backpressure shedding, idle and handshake deadlines, and optional
+//!   store persistence via [`LivePersist`]. Standalone, it serves
+//!   thousands of concurrent thin clients.
+//! * [`LiveNet`] — an in-process directory that makes several servers a
+//!   neighborhood of full peers: they discover each other through it and
+//!   dial each other over TCP.
 //!
-//! See `examples/live_tcp_demo.rs` for a two-device `LiveNet` run and
-//! `repro live` (the harness load generator) for driving a `LiveServer`.
+//! See `examples/live_tcp_demo.rs` for a two-member `LiveNet` run and
+//! `repro live` (the harness load generator) for driving a standalone
+//! `LiveServer`.
 
 mod config;
 mod net;

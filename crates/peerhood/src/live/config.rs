@@ -1,15 +1,13 @@
-//! Configuration of the live TCP drivers.
+//! Configuration of the live TCP reactor.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::config::RecoveryPolicy;
 use crate::gossip::GossipConfig;
 
-/// Configuration of a live TCP driver, shared by the in-process demo
-/// network ([`LiveNet`](super::LiveNet)) and the production serving reactor
-/// ([`LiveServer`](super::LiveServer)).
+/// Configuration of a live TCP server ([`LiveServer`](super::LiveServer)),
+/// standalone or as a member of a [`LiveNet`](super::LiveNet).
 ///
 /// Mirrors the builder conventions of
 /// [`DaemonConfig`](crate::config::DaemonConfig) and `netsim::RadioEnv`:
@@ -30,14 +28,13 @@ use crate::gossip::GossipConfig;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct LiveConfig {
-    /// Address the reactor listens on (`LiveNet` nodes always bind
-    /// ephemeral loopback ports and ignore this). Port 0 picks an
-    /// ephemeral port; the bound address is reported by
-    /// [`LiveServer::addr`](super::LiveServer::addr).
+    /// Address the reactor listens on; every member of a `LiveNet` binds
+    /// it. Port 0 picks an ephemeral port; the bound address is reported
+    /// by [`LiveServer::addr`](super::LiveServer::addr).
     pub listen: SocketAddr,
     /// Number of reactor I/O shards: each shard is one thread owning a
     /// clone of the listener (so accepts are spread) and a disjoint set of
-    /// client connections it polls non-blockingly.
+    /// connections it polls non-blockingly.
     pub listen_shards: usize,
     /// Per-connection bound on queued outbound bytes. When the peer's
     /// socket stops draining and this many bytes pile up, the connection
@@ -53,18 +50,21 @@ pub struct LiveConfig {
     /// `RecoveryPolicy::default().connect_timeout` (8 s).
     pub idle_timeout: Duration,
     /// How long a freshly accepted socket may sit without completing its
-    /// handshake frame before it is dropped (also
-    /// `RecoveryPolicy::default().connect_timeout` by default).
+    /// handshake frame, and a dial may wait for its verdict, before it is
+    /// dropped (also `RecoveryPolicy::default().connect_timeout` by
+    /// default).
     pub handshake_timeout: Duration,
-    /// How often a daemon starts a discovery round. `LiveNet` answers
-    /// rounds in-process (peers are the other in-process nodes);
-    /// `LiveServer` completes them immediately (thin clients are not
-    /// discoverable), so serving setups want this long.
+    /// How often a daemon starts a discovery round. Rounds are answered
+    /// from the server's directory: a `LiveNet` member finds the other
+    /// members, while a standalone server finds nobody (thin clients are
+    /// not discoverable), so serving setups can make this long.
     pub inquiry_interval: Duration,
     /// How long a neighbor stays known without answering discovery.
     pub neighbor_ttl: Duration,
-    /// Automatically query the service lists of appearing devices. Off by
-    /// default for the reactor path: thin live clients expose no services.
+    /// Automatically query the service lists of appearing devices. On by
+    /// default, which `LiveNet` members need to find each other's
+    /// services; standalone serving setups turn it off, since thin
+    /// clients expose no services.
     pub auto_service_discovery: bool,
     /// Optional daemon timeout/retry/backoff policy, forwarded to
     /// [`DaemonConfig::with_recovery`](crate::config::DaemonConfig::with_recovery).
@@ -74,10 +74,6 @@ pub struct LiveConfig {
     /// so live serving runs the same membership/dissemination knobs as the
     /// sim and crowd harnesses.
     pub gossip: Option<GossipConfig>,
-    /// Journal file for persistent store snapshots with incremental
-    /// append ([`LiveServer`](super::LiveServer) only; drivers pass it to
-    /// the persistence hook's owner).
-    pub snapshot_path: Option<PathBuf>,
     /// How often the reactor asks its persistence hook for a fresh
     /// checkpoint (compacting the journal). A final checkpoint is always
     /// written on orderly shutdown.
@@ -98,7 +94,6 @@ impl Default for LiveConfig {
             auto_service_discovery: true,
             recovery: None,
             gossip: None,
-            snapshot_path: None,
             snapshot_cadence: Duration::from_secs(30),
         }
     }
@@ -175,23 +170,20 @@ impl LiveConfig {
         self
     }
 
-    /// Persists the served application's store to a journal at `path`
-    /// (builder style). See [`LiveServer`](super::LiveServer).
-    pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_path = Some(path.into());
-        self
-    }
-
     /// Overrides the checkpoint cadence (builder style).
     pub fn with_snapshot_cadence(mut self, cadence: Duration) -> Self {
         self.snapshot_cadence = cadence;
         self
     }
 
-    /// Creates an empty in-process live network (the only construction
-    /// path — build the config first, then the network).
-    pub fn network<A: crate::app::Application>(self) -> super::LiveNet<A> {
-        super::LiveNet::with_config(self)
+    /// Creates an empty in-process directory whose members
+    /// ([`LiveNet::serve`](super::LiveNet::serve)) all run under this
+    /// config.
+    pub fn network<A>(self) -> super::LiveNet<A> {
+        super::LiveNet {
+            config: self,
+            directory: Default::default(),
+        }
     }
 
     /// Starts a production serving reactor for `app` (no persistence);
@@ -236,7 +228,6 @@ mod tests {
             .with_inquiry_interval(Duration::from_secs(60))
             .with_neighbor_ttl(Duration::from_secs(120))
             .with_auto_service_discovery(false)
-            .with_snapshot_path("/tmp/x.journal")
             .with_snapshot_cadence(Duration::from_secs(5));
         assert_eq!(cfg.listen.port(), 4411);
         assert_eq!(cfg.listen_shards, 1, "clamped to at least one shard");
@@ -246,10 +237,6 @@ mod tests {
         assert_eq!(cfg.inquiry_interval, Duration::from_secs(60));
         assert_eq!(cfg.neighbor_ttl, Duration::from_secs(120));
         assert!(!cfg.auto_service_discovery);
-        assert_eq!(
-            cfg.snapshot_path.as_deref().unwrap().to_str(),
-            Some("/tmp/x.journal")
-        );
         assert_eq!(cfg.snapshot_cadence, Duration::from_secs(5));
     }
 

@@ -1,853 +1,42 @@
-//! In-process network of daemons exchanging data over real loopback TCP.
+//! The in-process directory that turns live servers into a neighborhood.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::io;
+use std::sync::Arc;
 
-use codec::{Bytes, Wire};
-
-use netsim::{SimTime, Technology, Trace};
-
-use crate::app::{AppCtx, Application};
-use crate::config::DaemonConfig;
-use crate::daemon::{Daemon, DaemonInput, DaemonOutput};
-use crate::library::Library;
-use crate::plugin::{PluginCommand, PluginEvent};
-use crate::types::{AttemptId, DeviceId, DeviceInfo, LinkId};
+use crate::app::Application;
 
 use super::config::LiveConfig;
-use super::wire::{frame, FrameBuf, Handshake, VERDICT_ACCEPT, VERDICT_REJECT};
+use super::reactor::{Directory, LiveServer};
 
-/// A socket together with its receive buffer.
-#[derive(Debug)]
-struct Sock {
-    stream: TcpStream,
-    buf: FrameBuf,
-}
-
-impl Sock {
-    fn new(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Sock {
-            stream,
-            buf: FrameBuf::new(),
-        })
-    }
-
-    /// Reads all currently available bytes; returns `true` on orderly EOF.
-    fn pump(&mut self) -> io::Result<bool> {
-        let mut tmp = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut tmp) {
-                Ok(0) => return Ok(true),
-                Ok(n) => self.buf.extend(&tmp[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Pops one complete length-prefixed frame from the buffer, if present.
-    /// A hostile length header surfaces as `InvalidData` — the link must
-    /// be dropped, same as any other socket error.
-    fn pop_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        self.buf
-            .pop()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Writes one length-prefixed frame, spinning briefly on `WouldBlock`
-    /// (loopback drains within microseconds).
-    fn write_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        let msg = frame(payload);
-        let mut off = 0;
-        while off < msg.len() {
-            match self.stream.write(&msg[off..]) {
-                Ok(n) => off += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug)]
-struct OutPending {
-    sock: Sock,
-    attempt: AttemptId,
-}
-
-struct LiveNode<A> {
-    name: String,
-    daemon: Daemon,
-    app: A,
-    lib: Library,
-    listener: TcpListener,
-    addr: SocketAddr,
-    /// Accepted sockets whose handshake frame has not fully arrived yet.
-    greeting: Vec<Sock>,
-    /// Incoming links announced to the daemon, awaiting accept/reject.
-    pending_in: HashMap<LinkId, Sock>,
-    /// Outgoing links awaiting the responder's verdict frame.
-    pending_out: HashMap<LinkId, OutPending>,
-    /// Established links.
-    links: HashMap<LinkId, Sock>,
-    next_link: u64,
-    wake_at: Option<SimTime>,
-    timers: Vec<(SimTime, u64)>,
-}
-
-impl<A> LiveNode<A> {
-    fn alloc_link(&mut self) -> LinkId {
-        let id = LinkId::new(self.next_link);
-        self.next_link += 1;
-        id
-    }
-}
-
-/// An in-process neighborhood of PeerHood devices whose data connections run
-/// over real loopback TCP.
+/// A neighborhood of [`LiveServer`]s on real TCP sockets that find each
+/// other through a shared in-process directory.
 ///
-/// Discovery and SDP queries are routed in-process (they model the WLAN
-/// plugin's broadcast machinery); connection establishment, frames and
-/// close/loss signalling all travel through genuine `TcpStream`s. Virtual
-/// time is wall time since construction.
-///
-/// Built through [`LiveConfig::network`]; for a daemon serving thousands of
-/// external clients use [`LiveServer`](super::LiveServer) instead.
+/// Every member is a full server: it accepts connections and dials the
+/// other members. Its `DeviceId` is its index in the directory (boot
+/// order), and discovery — inquiries and service queries — is answered
+/// from the directory, standing in for the WLAN plugin's broadcast
+/// machinery. Built through [`LiveConfig::network`]; script members with
+/// [`LiveServer::with_app`].
 ///
 /// # Example
 ///
-/// See `examples/live_tcp_demo.rs`; the crate test
+/// See `examples/live_tcp_demo.rs`; the reactor test
 /// `live_round_trip_over_real_tcp` is a minimal end-to-end run.
 pub struct LiveNet<A> {
-    config: LiveConfig,
-    nodes: Vec<LiveNode<A>>,
-    start: Instant,
-    trace: Trace,
-    started: bool,
+    pub(super) config: LiveConfig,
+    pub(super) directory: Directory<A>,
 }
 
-impl<A: Application> LiveNet<A> {
-    /// Creates an empty live network with the given configuration
-    /// (the entry point behind [`LiveConfig::network`]).
-    pub fn with_config(config: LiveConfig) -> Self {
-        LiveNet {
-            config,
-            nodes: Vec::new(),
-            start: Instant::now(),
-            trace: Trace::new(),
-            started: false,
-        }
-    }
-
-    /// Adds a device named `name` listening on an ephemeral loopback port.
+impl<A: Application + Send + 'static> LiveNet<A> {
+    /// Boots the next member, named `name` and serving `app` under the
+    /// net's config. A member stays listed after it shuts down; dialing it
+    /// then fails.
     ///
     /// # Errors
     ///
-    /// Returns any error from binding the listener.
-    pub fn spawn(&mut self, name: impl Into<String>, app: A) -> io::Result<DeviceId> {
-        let name = name.into();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let id = DeviceId::new(self.nodes.len() as u64);
-        let info = DeviceInfo::new(id, name.clone(), [Technology::Wlan]);
-        // Tight intervals: live demos run in wall-clock time.
-        let mut config = DaemonConfig::new(info)
-            .with_inquiry_interval(Technology::Wlan, self.config.inquiry_interval)
-            .with_neighbor_ttl(self.config.neighbor_ttl)
-            .with_auto_service_discovery(self.config.auto_service_discovery);
-        if let Some(policy) = self.config.recovery {
-            config = config.with_recovery(policy);
-        }
-        if let Some(gossip) = self.config.gossip.clone() {
-            config = config.with_gossip(gossip);
-        }
-        self.nodes.push(LiveNode {
-            name,
-            daemon: Daemon::new(config),
-            app,
-            lib: Library::new(),
-            listener,
-            addr,
-            greeting: Vec::new(),
-            pending_in: HashMap::new(),
-            pending_out: HashMap::new(),
-            links: HashMap::new(),
-            next_link: 0,
-            wake_at: Some(SimTime::ZERO),
-            timers: Vec::new(),
-        });
-        Ok(id)
-    }
-
-    /// Wall-clock virtual time since construction.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &LiveConfig {
-        &self.config
-    }
-
-    /// Read access to a node's application.
-    pub fn app(&self, device: DeviceId) -> &A {
-        &self.nodes[device.raw() as usize].app
-    }
-
-    /// The device's human-readable name.
-    pub fn name(&self, device: DeviceId) -> &str {
-        &self.nodes[device.raw() as usize].name
-    }
-
-    /// The message-sequence trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Boots all nodes (calls their `on_start`).
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let mut work = VecDeque::new();
-        for i in 0..self.nodes.len() {
-            self.app_callback(i, &mut work, |app, ctx| app.on_start(ctx));
-        }
-        self.drain(&mut work);
-    }
-
-    /// Runs `f` against a node's application (scripting a user action).
-    pub fn with_app<R>(
-        &mut self,
-        device: DeviceId,
-        f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R,
-    ) -> R {
-        let mut work = VecDeque::new();
-        let r = self.app_callback(device.raw() as usize, &mut work, f);
-        self.drain(&mut work);
-        r
-    }
-
-    /// Shortest poll sleep while traffic is flowing.
-    const POLL_MIN: Duration = Duration::from_millis(1);
-    /// Longest poll sleep once the net has gone quiet. Socket latency stays
-    /// bounded by this while idle rounds no longer spin the CPU.
-    const POLL_MAX: Duration = Duration::from_millis(5);
-
-    /// Time until the earliest locally scheduled deadline (daemon wake or
-    /// application timer), if any.
-    fn next_deadline_in(&self) -> Option<Duration> {
-        let now = self.now();
-        self.nodes
-            .iter()
-            .flat_map(|n| {
-                n.wake_at
-                    .into_iter()
-                    .chain(n.timers.iter().map(|(at, _)| *at))
-            })
-            .min()
-            .map(|at| Duration::from_micros(at.as_micros().saturating_sub(now.as_micros())))
-    }
-
-    /// Sleeps until the next interesting instant: backs off exponentially
-    /// from [`Self::POLL_MIN`] to [`Self::POLL_MAX`] while rounds stay idle,
-    /// but never past a local wake/timer deadline or `remaining` wall time.
-    fn poll_sleep(&self, idle: &mut Duration, active: bool, remaining: Duration) {
-        *idle = if active {
-            Self::POLL_MIN
-        } else {
-            (*idle * 2).min(Self::POLL_MAX)
-        };
-        let mut sleep = *idle;
-        if let Some(due) = self.next_deadline_in() {
-            sleep = sleep.min(due);
-        }
-        sleep = sleep.min(remaining);
-        if sleep.is_zero() {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(sleep);
-        }
-    }
-
-    /// Polls sockets and timers repeatedly for `wall` of real time.
-    pub fn run_for(&mut self, wall: Duration) {
-        let deadline = Instant::now() + wall;
-        let mut idle = Self::POLL_MIN;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let active = self.poll_once();
-            self.poll_sleep(&mut idle, active, remaining);
-        }
-    }
-
-    /// Polls until `stop` returns true or `wall` elapses; returns whether
-    /// `stop` held.
-    ///
-    /// The predicate is evaluated after *every drained event* (each daemon
-    /// input and each application timer), not just between poll rounds, so
-    /// a condition satisfied mid-round returns before the next backoff
-    /// sleep. The round still drains to quiescence first — queued daemon
-    /// work is never abandoned.
-    pub fn run_until(&mut self, wall: Duration, mut stop: impl FnMut(&Self) -> bool) -> bool {
-        if stop(self) {
-            return true;
-        }
-        let deadline = Instant::now() + wall;
-        let mut idle = Self::POLL_MIN;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let (active, hit) = self.poll_once_watch(&mut stop);
-            if hit {
-                return true;
-            }
-            self.poll_sleep(&mut idle, active, remaining);
-        }
-        stop(self)
-    }
-
-    /// One poll round with no stop predicate. Returns whether the round
-    /// found any work (socket progress, due wake, or due timer).
-    fn poll_once(&mut self) -> bool {
-        self.poll_once_watch(&mut |_| false).0
-    }
-
-    /// One poll round: accepts, reads, timers, daemon wakes. Returns
-    /// `(any work found, watch predicate hit)`; the predicate is evaluated
-    /// after each drained event.
-    fn poll_once_watch(&mut self, watch: &mut dyn FnMut(&Self) -> bool) -> (bool, bool) {
-        let now = self.now();
-        let mut activity = false;
-        let mut work: VecDeque<(usize, DaemonInput)> = VecDeque::new();
-
-        for i in 0..self.nodes.len() {
-            // Accept fresh sockets.
-            loop {
-                match self.nodes[i].listener.accept() {
-                    Ok((stream, _)) => {
-                        activity = true;
-                        if let Ok(sock) = Sock::new(stream) {
-                            self.nodes[i].greeting.push(sock);
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-
-            // Progress handshakes.
-            let mut greeting = std::mem::take(&mut self.nodes[i].greeting);
-            let mut still_greeting = Vec::new();
-            for mut sock in greeting.drain(..) {
-                if let Ok(eof) = sock.pump() {
-                    // An Err from pop_frame (oversized length claim) falls
-                    // through to the drop: the socket is neither
-                    // handshaken nor kept for another round.
-                    match sock.pop_frame() {
-                        Ok(Some(frame)) => {
-                            if let Ok(hs) = Handshake::decode_exact(&frame) {
-                                let link = self.nodes[i].alloc_link();
-                                let device = DeviceInfo::new(
-                                    hs.from,
-                                    self.nodes
-                                        .get(hs.from.raw() as usize)
-                                        .map(|n| n.name.clone())
-                                        .unwrap_or_else(|| hs.from.to_string()),
-                                    [Technology::Wlan],
-                                );
-                                self.nodes[i].pending_in.insert(link, sock);
-                                work.push_back((
-                                    i,
-                                    DaemonInput::Plugin(PluginEvent::IncomingConnection {
-                                        link,
-                                        device,
-                                        service: hs.service,
-                                        technology: Technology::Wlan,
-                                        resume: hs.resume,
-                                    }),
-                                ));
-                            }
-                        }
-                        Ok(None) if !eof => still_greeting.push(sock),
-                        Ok(None) | Err(_) => {}
-                    }
-                }
-            }
-            self.nodes[i].greeting = still_greeting;
-
-            // Progress outgoing verdicts.
-            let pending: Vec<LinkId> = self.nodes[i].pending_out.keys().copied().collect();
-            for link in pending {
-                let Some(p) = self.nodes[i].pending_out.get_mut(&link) else {
-                    continue;
-                };
-                match p.sock.pump() {
-                    Ok(eof) => match p.sock.pop_frame() {
-                        Ok(Some(frame)) => {
-                            let p = self.nodes[i].pending_out.remove(&link).expect("present");
-                            if frame.first() == Some(&VERDICT_ACCEPT) {
-                                self.nodes[i].links.insert(link, p.sock);
-                                work.push_back((
-                                    i,
-                                    DaemonInput::Plugin(PluginEvent::ConnectResult {
-                                        attempt: p.attempt,
-                                        result: Ok(link),
-                                    }),
-                                ));
-                            } else {
-                                let reason = String::from_utf8_lossy(&frame[1.min(frame.len())..])
-                                    .into_owned();
-                                work.push_back((
-                                    i,
-                                    DaemonInput::Plugin(PluginEvent::ConnectResult {
-                                        attempt: p.attempt,
-                                        result: Err(reason),
-                                    }),
-                                ));
-                            }
-                        }
-                        Ok(None) if eof => {
-                            let p = self.nodes[i].pending_out.remove(&link).expect("present");
-                            work.push_back((
-                                i,
-                                DaemonInput::Plugin(PluginEvent::ConnectResult {
-                                    attempt: p.attempt,
-                                    result: Err("connection closed during setup".into()),
-                                }),
-                            ));
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            let p = self.nodes[i].pending_out.remove(&link).expect("present");
-                            work.push_back((
-                                i,
-                                DaemonInput::Plugin(PluginEvent::ConnectResult {
-                                    attempt: p.attempt,
-                                    result: Err(e.to_string()),
-                                }),
-                            ));
-                        }
-                    },
-                    Err(_) => {
-                        let p = self.nodes[i].pending_out.remove(&link).expect("present");
-                        work.push_back((
-                            i,
-                            DaemonInput::Plugin(PluginEvent::ConnectResult {
-                                attempt: p.attempt,
-                                result: Err("socket error during setup".into()),
-                            }),
-                        ));
-                    }
-                }
-            }
-
-            // Progress established links.
-            let link_ids: Vec<LinkId> = self.nodes[i].links.keys().copied().collect();
-            for link in link_ids {
-                let Some(sock) = self.nodes[i].links.get_mut(&link) else {
-                    continue;
-                };
-                match sock.pump() {
-                    Ok(eof) => {
-                        let mut framing_err = false;
-                        loop {
-                            match sock.pop_frame() {
-                                Ok(Some(frame)) => work.push_back((
-                                    i,
-                                    DaemonInput::Plugin(PluginEvent::Frame {
-                                        link,
-                                        payload: Bytes::from(frame),
-                                    }),
-                                )),
-                                Ok(None) => break,
-                                Err(_) => {
-                                    framing_err = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if framing_err {
-                            self.nodes[i].links.remove(&link);
-                            work.push_back((
-                                i,
-                                DaemonInput::Plugin(PluginEvent::LinkDown { link }),
-                            ));
-                        } else if eof {
-                            self.nodes[i].links.remove(&link);
-                            work.push_back((
-                                i,
-                                DaemonInput::Plugin(PluginEvent::PeerClosed { link }),
-                            ));
-                        }
-                    }
-                    Err(_) => {
-                        self.nodes[i].links.remove(&link);
-                        work.push_back((i, DaemonInput::Plugin(PluginEvent::LinkDown { link })));
-                    }
-                }
-            }
-
-            // Daemon wake due?
-            if self.nodes[i].wake_at.is_some_and(|t| now >= t) {
-                self.nodes[i].wake_at = None;
-                work.push_back((i, DaemonInput::Tick));
-            }
-        }
-
-        activity |= !work.is_empty();
-        let mut hit = self.drain_watch(&mut work, watch);
-
-        // Application timers (drained after daemon work so freshly set
-        // timers with zero delay run next round).
-        let mut timer_work = VecDeque::new();
-        for i in 0..self.nodes.len() {
-            let due: Vec<u64> = {
-                let node = &mut self.nodes[i];
-                let (fire, keep): (Vec<_>, Vec<_>) =
-                    node.timers.drain(..).partition(|(at, _)| now >= *at);
-                node.timers = keep;
-                fire.into_iter().map(|(_, tok)| tok).collect()
-            };
-            activity |= !due.is_empty();
-            for token in due {
-                self.app_callback(i, &mut timer_work, |app, ctx| app.on_timer(token, ctx));
-            }
-        }
-        activity |= !timer_work.is_empty();
-        hit |= self.drain_watch(&mut timer_work, watch);
-        (activity, hit)
-    }
-
-    /// Processes daemon inputs until quiescent.
-    fn drain(&mut self, work: &mut VecDeque<(usize, DaemonInput)>) {
-        self.drain_watch(work, &mut |_| false);
-    }
-
-    /// Processes daemon inputs until quiescent, evaluating `watch` after
-    /// each one; returns whether it ever held. Always drains fully — a hit
-    /// is latched, not an early exit, so no queued input is lost.
-    fn drain_watch(
-        &mut self,
-        work: &mut VecDeque<(usize, DaemonInput)>,
-        watch: &mut dyn FnMut(&Self) -> bool,
-    ) -> bool {
-        let mut hit = false;
-        while let Some((i, input)) = work.pop_front() {
-            let now = self.now();
-            let mut outs = Vec::new();
-            self.nodes[i].daemon.handle(now, input, &mut outs);
-            for out in outs {
-                match out {
-                    DaemonOutput::Plugin(cmd) => self.exec(i, cmd, work),
-                    DaemonOutput::App(ev) => {
-                        self.app_callback(i, work, |app, ctx| app.on_event(ev, ctx));
-                    }
-                    DaemonOutput::WakeAt(t) => {
-                        let node = &mut self.nodes[i];
-                        node.wake_at = Some(node.wake_at.map_or(t, |w| w.min(t)));
-                    }
-                }
-            }
-            if !hit && watch(self) {
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    fn app_callback<R>(
-        &mut self,
-        i: usize,
-        work: &mut VecDeque<(usize, DaemonInput)>,
-        f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R,
-    ) -> R {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let r = {
-            let node = &mut self.nodes[i];
-            let mut ctx = AppCtx::new(
-                now,
-                &node.name,
-                &mut node.lib,
-                &mut timers,
-                Some(&mut self.trace),
-            );
-            f(&mut node.app, &mut ctx)
-        };
-        self.nodes[i].timers.extend(timers);
-        for req in self.nodes[i].lib.drain() {
-            work.push_back((i, DaemonInput::App(req)));
-        }
-        r
-    }
-
-    fn exec(&mut self, i: usize, cmd: PluginCommand, work: &mut VecDeque<(usize, DaemonInput)>) {
-        match cmd {
-            PluginCommand::StartInquiry { technology } => {
-                // Everyone on loopback is "in range": answer instantly.
-                for j in 0..self.nodes.len() {
-                    if j == i {
-                        continue;
-                    }
-                    let device = DeviceInfo::new(
-                        DeviceId::new(j as u64),
-                        self.nodes[j].name.clone(),
-                        [Technology::Wlan],
-                    );
-                    work.push_back((
-                        i,
-                        DaemonInput::Plugin(PluginEvent::InquiryResponse { technology, device }),
-                    ));
-                }
-                work.push_back((
-                    i,
-                    DaemonInput::Plugin(PluginEvent::InquiryComplete { technology }),
-                ));
-            }
-            PluginCommand::QueryServices { device, .. } => {
-                let j = device.raw() as usize;
-                if j < self.nodes.len() {
-                    work.push_back((
-                        j,
-                        DaemonInput::Plugin(PluginEvent::ServiceQuery {
-                            device: DeviceId::new(i as u64),
-                        }),
-                    ));
-                }
-            }
-            PluginCommand::ServiceQueryReply { device, services } => {
-                let j = device.raw() as usize;
-                if j < self.nodes.len() {
-                    work.push_back((
-                        j,
-                        DaemonInput::Plugin(PluginEvent::ServiceReply {
-                            device: DeviceId::new(i as u64),
-                            services,
-                        }),
-                    ));
-                }
-            }
-            PluginCommand::OpenConnection {
-                attempt,
-                device,
-                service,
-                resume,
-                ..
-            } => {
-                let j = device.raw() as usize;
-                let fail = |reason: String, work: &mut VecDeque<(usize, DaemonInput)>| {
-                    work.push_back((
-                        i,
-                        DaemonInput::Plugin(PluginEvent::ConnectResult {
-                            attempt,
-                            result: Err(reason),
-                        }),
-                    ));
-                };
-                if j >= self.nodes.len() {
-                    fail("unknown device".into(), work);
-                    return;
-                }
-                let addr = self.nodes[j].addr;
-                match TcpStream::connect(addr).and_then(Sock::new) {
-                    Ok(mut sock) => {
-                        let hs = Handshake {
-                            from: DeviceId::new(i as u64),
-                            service,
-                            resume,
-                        };
-                        if sock.write_frame(&hs.encode()).is_err() {
-                            fail("handshake write failed".into(), work);
-                            return;
-                        }
-                        let link = self.nodes[i].alloc_link();
-                        self.nodes[i]
-                            .pending_out
-                            .insert(link, OutPending { sock, attempt });
-                    }
-                    Err(e) => fail(format!("tcp connect failed: {e}"), work),
-                }
-            }
-            PluginCommand::AcceptConnection { link } => {
-                if let Some(mut sock) = self.nodes[i].pending_in.remove(&link) {
-                    if sock.write_frame(&[VERDICT_ACCEPT]).is_ok() {
-                        self.nodes[i].links.insert(link, sock);
-                    } else {
-                        work.push_back((i, DaemonInput::Plugin(PluginEvent::LinkDown { link })));
-                    }
-                }
-            }
-            PluginCommand::RejectConnection { link, reason } => {
-                if let Some(mut sock) = self.nodes[i].pending_in.remove(&link) {
-                    let mut frame = vec![VERDICT_REJECT];
-                    frame.extend_from_slice(reason.as_bytes());
-                    let _ = sock.write_frame(&frame);
-                }
-            }
-            PluginCommand::SendFrame { link, payload } => {
-                let failed = match self.nodes[i].links.get_mut(&link) {
-                    Some(sock) => sock.write_frame(&payload).is_err(),
-                    None => false,
-                };
-                if failed {
-                    self.nodes[i].links.remove(&link);
-                    work.push_back((i, DaemonInput::Plugin(PluginEvent::LinkDown { link })));
-                }
-            }
-            PluginCommand::CloseLink { link } => {
-                if let Some(sock) = self.nodes[i].links.remove(&link) {
-                    let _ = sock.stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-    }
-}
-
-impl<A: Application> Default for LiveNet<A> {
-    fn default() -> Self {
-        Self::with_config(LiveConfig::default())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::api::AppEvent;
-    use crate::service::ServiceInfo;
-    use crate::types::ConnId;
-
-    #[derive(Default)]
-    struct Echo {
-        serve: bool,
-        peers: Vec<DeviceId>,
-        conn: Option<ConnId>,
-        received: Vec<Bytes>,
-        closed: usize,
-    }
-
-    impl Application for Echo {
-        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
-            if self.serve {
-                ctx.peerhood().register_service(ServiceInfo::new("echo"));
-            }
-        }
-
-        fn on_event(&mut self, event: AppEvent, ctx: &mut AppCtx<'_>) {
-            match event {
-                AppEvent::DeviceAppeared(info) => self.peers.push(info.id),
-                AppEvent::Connected { conn, .. } => self.conn = Some(conn),
-                AppEvent::Data { conn, payload } => {
-                    self.received.push(payload.clone());
-                    if self.serve {
-                        // Echo it back.
-                        ctx.peerhood().send(conn, payload);
-                    }
-                }
-                AppEvent::Closed { .. } => self.closed += 1,
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn live_round_trip_over_real_tcp() {
-        let mut net = LiveConfig::default().network();
-        let client = net.spawn("client", Echo::default()).unwrap();
-        let server = net
-            .spawn(
-                "server",
-                Echo {
-                    serve: true,
-                    ..Echo::default()
-                },
-            )
-            .unwrap();
-        net.start();
-
-        // Discovery happens within the 200 ms inquiry cadence.
-        assert!(
-            net.run_until(Duration::from_secs(5), |n| {
-                n.app(client).peers.contains(&server)
-            }),
-            "server never discovered"
-        );
-
-        net.with_app(client, |_, ctx| ctx.peerhood().connect(server, "echo"));
-        assert!(
-            net.run_until(Duration::from_secs(5), |n| n.app(client).conn.is_some()),
-            "connect never completed"
-        );
-        let conn = net.app(client).conn.unwrap();
-        net.with_app(client, |_, ctx| {
-            ctx.peerhood()
-                .send(conn, Bytes::from_static(b"over real tcp"))
-        });
-        assert!(
-            net.run_until(Duration::from_secs(5), |n| !n
-                .app(client)
-                .received
-                .is_empty()),
-            "echo never arrived"
-        );
-        assert_eq!(
-            net.app(client).received[0],
-            Bytes::from_static(b"over real tcp")
-        );
-        // Orderly close propagates.
-        net.with_app(client, |_, ctx| ctx.peerhood().close(conn));
-        assert!(
-            net.run_until(Duration::from_secs(5), |n| n.app(server).closed > 0),
-            "server never saw the close"
-        );
-    }
-
-    #[test]
-    fn connect_to_unknown_service_is_rejected_over_tcp() {
-        let mut net = LiveConfig::default().network();
-        let client = net.spawn("client", Echo::default()).unwrap();
-        let server = net.spawn("server", Echo::default()).unwrap();
-        net.start();
-        assert!(net.run_until(Duration::from_secs(5), |n| {
-            n.app(client).peers.contains(&server)
-        }));
-        net.with_app(client, |_, ctx| ctx.peerhood().connect(server, "nope"));
-        net.run_for(Duration::from_millis(300));
-        assert!(net.app(client).conn.is_none());
-    }
-
-    #[test]
-    fn run_until_satisfied_at_entry_returns_without_polling() {
-        let mut net: LiveNet<Echo> = LiveConfig::default().network();
-        let t0 = Instant::now();
-        assert!(net.run_until(Duration::from_secs(5), |_| true));
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "pre-satisfied predicate must not wait for a poll round"
-        );
-    }
-
-    #[test]
-    fn default_config_network_builds_and_spawns() {
-        // The LiveConfig builder is the only construction path now that
-        // the 0.6 deprecation shims are gone.
-        let mut net: LiveNet<Echo> = LiveConfig::default().network();
-        assert_eq!(net.config(), &LiveConfig::default());
-        let id = net.spawn("modern", Echo::default()).unwrap();
-        assert_eq!(net.name(id), "modern");
+    /// Returns any error from binding the listener or spawning threads.
+    pub fn serve(&self, name: impl Into<String>, app: A) -> io::Result<LiveServer<A>> {
+        let directory = Arc::clone(&self.directory);
+        LiveServer::boot(self.config.clone(), name.into(), app, None, directory)
     }
 }

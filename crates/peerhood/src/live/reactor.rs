@@ -1,5 +1,5 @@
-//! The production live-serving reactor: a non-blocking multi-client TCP
-//! daemon around the sans-IO core.
+//! The live reactor: a non-blocking TCP daemon around the sans-IO core,
+//! and the one driver that runs it over real sockets.
 //!
 //! # Architecture
 //!
@@ -7,10 +7,11 @@
 //!
 //! * **Shard threads** (`ph-live-shard-N`) each own a clone of the
 //!   non-blocking listener (accepts spread across shards) plus a disjoint
-//!   set of client connections. A shard does *only* socket work: accept,
-//!   read, frame-reassemble, write — never application logic — so one
-//!   shard round stays short and no client can block another with slow
-//!   reads or writes.
+//!   set of connections — accepted ones and the ones they dialed for the
+//!   core — polled non-blockingly. A shard does *only* socket work: accept,
+//!   dial, read, frame-reassemble, write — never application logic — so one
+//!   shard round stays short and no peer can block another with slow reads
+//!   or writes.
 //! * The **core thread** (`ph-live-core`) owns the [`Daemon`] state
 //!   machine, the served [`Application`], its [`Library`] and timers. It
 //!   sleeps on a channel of batched shard messages with a timeout derived
@@ -19,6 +20,19 @@
 //! The split keeps the daemon core single-threaded (exactly like the
 //! simulator driver) while socket readiness is handled concurrently — the
 //! sans-IO contract is the channel protocol between the two halves.
+//!
+//! # Directory
+//!
+//! Every server is a member of an in-process directory
+//! ([`LiveNet`](super::LiveNet)); a standalone server is a directory of
+//! one. A member's [`DeviceId`] is its index there. Discovery is answered
+//! from the directory: an inquiry finds every other member, and service
+//! queries and replies are posted straight to the target member's core.
+//! An `OpenConnection` to a member makes a shard dial its listen address,
+//! send the [`Handshake`] and wait, at most
+//! [`LiveConfig::handshake_timeout`], for the verdict. Thin clients are
+//! not members: they are never discovered, their service lists are empty
+//! and they cannot be dialed.
 //!
 //! # Backpressure contract
 //!
@@ -29,7 +43,9 @@
 //! [`ErrorKind::Overloaded`] is sent as soon as the socket drains. Idle
 //! connections (no inbound traffic for [`LiveConfig::idle_timeout`]) are
 //! closed the same way with [`ErrorKind::Timeout`]. In both cases the
-//! daemon observes a plain `LinkDown`, exactly as if the radio had faded.
+//! daemon observes a plain `LinkDown`, exactly as if the radio had faded;
+//! so does the daemon at the other end when the peer is a member, since a
+//! farewell frame ends the link instead of reaching the application.
 //!
 //! # Persistence
 //!
@@ -43,7 +59,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,10 +73,12 @@ use crate::daemon::{Daemon, DaemonInput, DaemonOutput};
 use crate::error::ErrorKind;
 use crate::library::Library;
 use crate::plugin::{PluginCommand, PluginEvent};
-use crate::types::{DeviceId, DeviceInfo, LinkId};
+use crate::types::{AttemptId, DeviceId, DeviceInfo, LinkId};
 
 use super::config::LiveConfig;
-use super::wire::{farewell, frame, FrameBuf, Handshake, VERDICT_ACCEPT, VERDICT_REJECT};
+use super::wire::{
+    farewell, frame, parse_farewell, FrameBuf, Handshake, VERDICT_ACCEPT, VERDICT_REJECT,
+};
 
 /// Upper bits of a connection id hold the owning shard index.
 const SHARD_SHIFT: u32 = 48;
@@ -93,7 +111,7 @@ pub trait LivePersist<A>: Send {
 pub struct LiveStats {
     /// Sockets accepted since start.
     pub accepted: u64,
-    /// Currently open connections (any state).
+    /// Currently open connections (any state, dialed ones included).
     pub active: u64,
     /// Sockets dropped before completing a valid handshake.
     pub handshake_failures: u64,
@@ -150,30 +168,47 @@ impl Counters {
     }
 }
 
-/// Shard → core notifications (batched: one `Vec` per shard round).
-enum CoreMsg {
+/// One member of a live directory: what the others need to find, dial
+/// and message it.
+pub(super) struct Member<A> {
+    name: String,
+    addr: SocketAddr,
+    core: Sender<Vec<CoreMsg<A>>>,
+}
+
+/// The members of one [`LiveNet`](super::LiveNet), indexed by `DeviceId`.
+pub(super) type Directory<A> = Arc<Mutex<Vec<Member<A>>>>;
+
+/// Locks the directory. Members are only ever appended, so a panic while
+/// the lock was held cannot have left the list half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Messages to the core thread (batched: one `Vec` per sender round).
+enum CoreMsg<A> {
     /// A socket completed its handshake frame.
     Hello { conn: u64, hs: Handshake },
     /// An application frame arrived on an established connection.
     Frame { conn: u64, payload: Vec<u8> },
-    /// The connection is gone (announced connections only).
-    Gone { conn: u64, cause: GoneCause },
+    /// A plugin event for the daemon as it stands: a dial's outcome, a
+    /// lost connection, or discovery from another member.
+    Event(PluginEvent),
+    /// A [`LiveServer::with_app`] call.
+    Script(Script<A>),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum GoneCause {
-    /// Orderly EOF from the peer.
-    Eof,
-    /// Socket error.
-    Error,
-    /// Shed by backpressure.
-    Shed,
-    /// Closed for inbound idleness.
-    Idle,
-}
+/// Work run on the core thread on behalf of [`LiveServer::with_app`].
+type Script<A> = Box<dyn FnOnce(&mut Core<A>) + Send>;
 
 /// Core → shard commands (batched: one `Vec` per core round).
 enum ShardCmd {
+    /// Dial a member: connect, send the handshake, await its verdict.
+    Dial {
+        attempt: AttemptId,
+        addr: SocketAddr,
+        hs: Handshake,
+    },
     /// Answer a pending handshake.
     Verdict {
         conn: u64,
@@ -188,14 +223,26 @@ enum ShardCmd {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ConnState {
-    /// Waiting for the handshake frame.
+    /// Accepted; waiting for the handshake frame.
     Greeting,
     /// Handshake forwarded to the core; awaiting the daemon's verdict.
     AwaitingVerdict,
-    /// Verdict sent, application traffic flowing.
+    /// Dialed; handshake sent, awaiting the peer's verdict.
+    Dialing { attempt: AttemptId },
+    /// Verdict sent or received, application traffic flowing.
     Established,
-    /// Flushing final bytes (farewell or orderly close), reads ignored.
+    /// Flushing final bytes (farewell or orderly close); input is dropped.
     Dying { deadline: Instant },
+}
+
+/// How a connection ended, which decides what the core is told.
+enum End {
+    /// Orderly EOF from the peer.
+    Eof,
+    /// Socket error, bad frame, farewell or missed deadline.
+    Error(&'static str),
+    /// Nothing to tell: the core already knows.
+    Quiet,
 }
 
 struct Conn {
@@ -232,6 +279,23 @@ impl Conn {
     fn push(&mut self, msg: Vec<u8>) {
         self.queued += msg.len();
         self.out.push_back(msg);
+    }
+
+    /// Starts the linger: flush what is queued, then drop.
+    fn die(&mut self) {
+        self.state = ConnState::Dying {
+            deadline: Instant::now() + FAREWELL_LINGER,
+        };
+    }
+
+    /// Drops queued output, queues a farewell carrying `kind` and starts
+    /// the linger. A partly written frame is finished first, or the peer
+    /// would lose the framing and never read the farewell.
+    fn bid_farewell(&mut self, kind: ErrorKind) {
+        self.out.truncate(usize::from(self.front_off > 0));
+        self.queued = self.out.front().map_or(0, |f| f.len() - self.front_off);
+        self.push(frame(&farewell(kind)));
+        self.die();
     }
 
     /// Reads everything available; `Ok(true)` on orderly EOF.
@@ -278,10 +342,135 @@ impl Conn {
         Ok(())
     }
 
-    /// True once this connection was announced to the core (it must then
-    /// also be told when the connection goes away).
-    fn announced(&self) -> bool {
-        !matches!(self.state, ConnState::Greeting)
+    /// One round of a dying connection: flush, then half-close and discard
+    /// input. Closing a socket with unread input resets the connection and
+    /// destroys the farewell in flight, so the socket is kept until the
+    /// peer hangs up (`Ok(true)`) or the linger runs out.
+    fn linger(&mut self, counters: &Counters) -> io::Result<bool> {
+        self.write_pump(counters)?;
+        if !self.out.is_empty() {
+            return Ok(false);
+        }
+        self.stream.shutdown(Shutdown::Write)?;
+        let eof = self.read_pump(counters)?;
+        self.inbuf = FrameBuf::new();
+        Ok(eof)
+    }
+
+    /// A protocol failure; counted when it ends a handshake we accepted.
+    fn failed(&self, counters: &Counters, why: &'static str) -> End {
+        if matches!(self.state, ConnState::Greeting | ConnState::AwaitingVerdict) {
+            Counters::bump(&counters.handshake_failures);
+        }
+        End::Error(why)
+    }
+
+    /// One round of socket work on a connection that is not dying: read,
+    /// pass complete frames on by state, enforce deadlines, flush. `Ok`
+    /// says whether anything happened, `Err` how the connection ended.
+    fn round<A>(
+        &mut self,
+        id: u64,
+        counters: &Counters,
+        idle_timeout: Duration,
+        handshake_timeout: Duration,
+        msgs: &mut Vec<CoreMsg<A>>,
+    ) -> Result<bool, End> {
+        let eof = self
+            .read_pump(counters)
+            .map_err(|_| End::Error("socket error"))?;
+        let mut active = false;
+        loop {
+            if self.state == ConnState::AwaitingVerdict {
+                break; // early frames stay buffered until the verdict
+            }
+            let f = match self.inbuf.pop() {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                // The stream offset is unrecoverable after a bad header.
+                Err(_) => return Err(self.failed(counters, "oversized frame header")),
+            };
+            active = true;
+            match self.state {
+                ConnState::Greeting => match Handshake::decode_exact(&f) {
+                    Ok(hs) => {
+                        self.state = ConnState::AwaitingVerdict;
+                        msgs.push(CoreMsg::Hello { conn: id, hs });
+                    }
+                    Err(_) => return Err(self.failed(counters, "bad handshake")),
+                },
+                ConnState::Dialing { attempt } => {
+                    let accepted = f.first() == Some(&VERDICT_ACCEPT);
+                    let result = if accepted {
+                        self.state = ConnState::Established;
+                        self.last_in = Instant::now();
+                        Ok(LinkId::new(id))
+                    } else {
+                        Err(String::from_utf8_lossy(f.get(1..).unwrap_or_default()).into_owned())
+                    };
+                    msgs.push(CoreMsg::Event(PluginEvent::ConnectResult {
+                        attempt,
+                        result,
+                    }));
+                    if !accepted {
+                        return Err(End::Quiet);
+                    }
+                }
+                _ if parse_farewell(&f).is_some() => return Err(End::Error("farewell")),
+                _ => {
+                    Counters::bump(&counters.frames_in);
+                    msgs.push(CoreMsg::Frame {
+                        conn: id,
+                        payload: f,
+                    });
+                }
+            }
+        }
+        if eof {
+            return Err(End::Eof);
+        }
+
+        match self.state {
+            ConnState::Greeting | ConnState::AwaitingVerdict | ConnState::Dialing { .. }
+                if self.opened.elapsed() >= handshake_timeout =>
+            {
+                return Err(self.failed(counters, "handshake timed out"));
+            }
+            ConnState::Established if self.last_in.elapsed() >= idle_timeout => {
+                self.bid_farewell(ErrorKind::Timeout);
+                Counters::bump(&counters.idle_closed);
+                msgs.push(CoreMsg::Event(PluginEvent::LinkDown {
+                    link: LinkId::new(id),
+                }));
+                active = true;
+            }
+            _ => {}
+        }
+
+        // Flush queued output. A failed write is a dead socket.
+        let had_out = !self.out.is_empty();
+        self.write_pump(counters)
+            .map_err(|_| End::Error("socket error"))?;
+        Ok(active || had_out)
+    }
+
+    /// Tells the core how the connection ended, if it is owed word of it.
+    fn report<A>(&self, id: u64, end: End, msgs: &mut Vec<CoreMsg<A>>) {
+        let link = LinkId::new(id);
+        let event = match (self.state, end) {
+            (ConnState::Greeting | ConnState::Dying { .. }, _) | (_, End::Quiet) => return,
+            (ConnState::Dialing { attempt }, End::Eof) => PluginEvent::ConnectResult {
+                attempt,
+                result: Err("connection closed during setup".into()),
+            },
+            (ConnState::Dialing { attempt }, End::Error(why)) => PluginEvent::ConnectResult {
+                attempt,
+                result: Err(why.into()),
+            },
+            (_, End::Eof) => PluginEvent::PeerClosed { link },
+            (_, End::Error(_)) => PluginEvent::LinkDown { link },
+        };
+        msgs.push(CoreMsg::Event(event));
     }
 }
 
@@ -298,10 +487,10 @@ struct Shard {
 }
 
 impl Shard {
-    fn run(
+    fn run<A>(
         mut self,
         cmd_rx: Receiver<Vec<ShardCmd>>,
-        core_tx: Sender<Vec<CoreMsg>>,
+        core_tx: Sender<Vec<CoreMsg<A>>>,
         stop: Arc<AtomicBool>,
     ) {
         while !stop.load(Ordering::SeqCst) {
@@ -328,11 +517,8 @@ impl Shard {
                     Ok((stream, _)) => {
                         active = true;
                         if let Ok(conn) = Conn::new(stream) {
-                            let id = (self.idx << SHARD_SHIFT) | self.next_id;
-                            self.next_id += 1;
-                            self.conns.insert(id, conn);
+                            self.insert(conn);
                             Counters::bump(&self.counters.accepted);
-                            Counters::bump(&self.counters.active);
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -358,170 +544,61 @@ impl Shard {
         }
     }
 
-    /// One round of socket work for one connection. Returns whether
-    /// anything happened.
-    fn service(&mut self, id: u64, msgs: &mut Vec<CoreMsg>) -> bool {
-        let idle_timeout = self.idle_timeout;
-        let handshake_timeout = self.handshake_timeout;
-        let mut active = false;
-        let mut drop_it = false;
-
-        {
-            let counters = &self.counters;
-            let Some(c) = self.conns.get_mut(&id) else {
-                return false;
-            };
-
-            if let ConnState::Dying { deadline } = c.state {
-                // Dying connections only flush; reads are ignored.
-                let dead = c.write_pump(counters).is_err();
-                if dead || c.out.is_empty() || Instant::now() >= deadline {
-                    drop_it = true;
-                    active = true;
-                }
-            } else {
-                match c.read_pump(counters) {
-                    Ok(eof) => {
-                        // Drain complete frames according to state.
-                        loop {
-                            match c.state {
-                                ConnState::Greeting => match c.inbuf.pop() {
-                                    Ok(Some(f)) => match Handshake::decode_exact(&f) {
-                                        Ok(hs) => {
-                                            c.state = ConnState::AwaitingVerdict;
-                                            msgs.push(CoreMsg::Hello { conn: id, hs });
-                                            active = true;
-                                        }
-                                        Err(_) => {
-                                            Counters::bump(&counters.handshake_failures);
-                                            drop_it = true;
-                                            active = true;
-                                            break;
-                                        }
-                                    },
-                                    Ok(None) => break,
-                                    // Oversized length claim before the
-                                    // handshake even parsed: hostile peer.
-                                    Err(_) => {
-                                        Counters::bump(&counters.handshake_failures);
-                                        drop_it = true;
-                                        active = true;
-                                        break;
-                                    }
-                                },
-                                // Early frames stay buffered until the verdict.
-                                ConnState::AwaitingVerdict => break,
-                                ConnState::Established => match c.inbuf.pop() {
-                                    Ok(Some(f)) => {
-                                        Counters::bump(&counters.frames_in);
-                                        msgs.push(CoreMsg::Frame {
-                                            conn: id,
-                                            payload: f,
-                                        });
-                                        active = true;
-                                    }
-                                    Ok(None) => break,
-                                    // A framing violation mid-session: the
-                                    // stream offset is unrecoverable, so the
-                                    // connection goes down as an error.
-                                    Err(_) => {
-                                        if c.announced() {
-                                            msgs.push(CoreMsg::Gone {
-                                                conn: id,
-                                                cause: GoneCause::Error,
-                                            });
-                                        }
-                                        drop_it = true;
-                                        active = true;
-                                        break;
-                                    }
-                                },
-                                ConnState::Dying { .. } => break,
-                            }
-                        }
-                        if !drop_it && eof {
-                            if c.announced() {
-                                msgs.push(CoreMsg::Gone {
-                                    conn: id,
-                                    cause: GoneCause::Eof,
-                                });
-                            }
-                            drop_it = true;
-                            active = true;
-                        }
-                    }
-                    Err(_) => {
-                        if c.announced() {
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Error,
-                            });
-                        }
-                        drop_it = true;
-                        active = true;
-                    }
-                }
-
-                // Deadlines.
-                if !drop_it {
-                    match c.state {
-                        ConnState::Greeting | ConnState::AwaitingVerdict
-                            if c.opened.elapsed() >= handshake_timeout =>
-                        {
-                            Counters::bump(&counters.handshake_failures);
-                            if c.announced() {
-                                msgs.push(CoreMsg::Gone {
-                                    conn: id,
-                                    cause: GoneCause::Error,
-                                });
-                            }
-                            drop_it = true;
-                            active = true;
-                        }
-                        ConnState::Established if c.last_in.elapsed() >= idle_timeout => {
-                            c.out.clear();
-                            c.front_off = 0;
-                            c.queued = 0;
-                            c.push(frame(&farewell(ErrorKind::Timeout)));
-                            c.state = ConnState::Dying {
-                                deadline: Instant::now() + FAREWELL_LINGER,
-                            };
-                            Counters::bump(&counters.idle_closed);
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Idle,
-                            });
-                            active = true;
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Flush queued output. A failed write is a dead socket.
-                if !drop_it {
-                    let had_out = !c.out.is_empty();
-                    if c.write_pump(counters).is_err() {
-                        if c.announced() {
-                            msgs.push(CoreMsg::Gone {
-                                conn: id,
-                                cause: GoneCause::Error,
-                            });
-                        }
-                        drop_it = true;
-                    }
-                    active |= had_out;
-                }
-            }
-        }
-
-        if drop_it {
-            self.drop_conn(id);
-        }
-        active
+    /// Adopts a connection under a fresh id that names this shard.
+    fn insert(&mut self, conn: Conn) {
+        let id = (self.idx << SHARD_SHIFT) | self.next_id;
+        self.next_id += 1;
+        self.conns.insert(id, conn);
+        Counters::bump(&self.counters.active);
     }
 
-    fn apply(&mut self, cmd: ShardCmd, msgs: &mut Vec<CoreMsg>) {
+    /// One round of socket work for one connection. Returns whether
+    /// anything happened.
+    fn service<A>(&mut self, id: u64, msgs: &mut Vec<CoreMsg<A>>) -> bool {
+        let Some(c) = self.conns.get_mut(&id) else {
+            return false;
+        };
+        let step = match c.state {
+            ConnState::Dying { deadline } => match c.linger(&self.counters) {
+                Ok(false) if Instant::now() < deadline => Ok(false),
+                _ => Err(End::Quiet),
+            },
+            _ => c.round(
+                id,
+                &self.counters,
+                self.idle_timeout,
+                self.handshake_timeout,
+                msgs,
+            ),
+        };
+        match step {
+            Ok(active) => active,
+            Err(end) => {
+                c.report(id, end, msgs);
+                self.drop_conn(id);
+                true
+            }
+        }
+    }
+
+    fn apply<A>(&mut self, cmd: ShardCmd, msgs: &mut Vec<CoreMsg<A>>) {
         match cmd {
+            ShardCmd::Dial { attempt, addr, hs } => {
+                // Members listen on reachable addresses; the connect blocks
+                // this shard for at most the handshake deadline.
+                match TcpStream::connect_timeout(&addr, self.handshake_timeout).and_then(Conn::new)
+                {
+                    Ok(mut c) => {
+                        c.push(frame(&hs.encode()));
+                        c.state = ConnState::Dialing { attempt };
+                        self.insert(c);
+                    }
+                    Err(e) => msgs.push(CoreMsg::Event(PluginEvent::ConnectResult {
+                        attempt,
+                        result: Err(format!("tcp connect failed: {e}")),
+                    })),
+                }
+            }
             ShardCmd::Verdict {
                 conn,
                 accept,
@@ -539,9 +616,7 @@ impl Shard {
                         let mut v = vec![VERDICT_REJECT];
                         v.extend_from_slice(reason.as_bytes());
                         c.push(frame(&v));
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
+                        c.die();
                     }
                 }
             }
@@ -554,18 +629,11 @@ impl Shard {
                     if self.queue_cap > 0 && c.queued + msg.len() > self.queue_cap {
                         // Backpressure: shed this peer rather than queue
                         // without bound or block the shard.
-                        c.out.clear();
-                        c.front_off = 0;
-                        c.queued = 0;
-                        c.push(frame(&farewell(ErrorKind::Overloaded)));
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
+                        c.bid_farewell(ErrorKind::Overloaded);
                         Counters::bump(&self.counters.shed);
-                        msgs.push(CoreMsg::Gone {
-                            conn,
-                            cause: GoneCause::Shed,
-                        });
+                        msgs.push(CoreMsg::Event(PluginEvent::LinkDown {
+                            link: LinkId::new(conn),
+                        }));
                     } else {
                         c.push(msg);
                     }
@@ -574,9 +642,7 @@ impl Shard {
             ShardCmd::Close { conn } => {
                 if let Some(c) = self.conns.get_mut(&conn) {
                     if !matches!(c.state, ConnState::Dying { .. }) {
-                        c.state = ConnState::Dying {
-                            deadline: Instant::now() + FAREWELL_LINGER,
-                        };
+                        c.die();
                     }
                 }
             }
@@ -605,16 +671,56 @@ struct Core<A> {
     cmds: Vec<Vec<ShardCmd>>,
     counters: Arc<Counters>,
     persist: Option<Box<dyn LivePersist<A>>>,
+    /// This member's index in `directory`, and so its `DeviceId`.
+    me: u64,
+    directory: Directory<A>,
 }
 
 impl<A: Application> Core<A> {
+    fn new(
+        config: &LiveConfig,
+        name: String,
+        app: A,
+        me: u64,
+        directory: Directory<A>,
+        counters: Arc<Counters>,
+        persist: Option<Box<dyn LivePersist<A>>>,
+    ) -> Self {
+        let info = DeviceInfo::new(DeviceId::new(me), name.clone(), [Technology::Wlan]);
+        let mut daemon_config = DaemonConfig::new(info)
+            .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
+            .with_neighbor_ttl(config.neighbor_ttl)
+            .with_auto_service_discovery(config.auto_service_discovery);
+        if let Some(policy) = config.recovery {
+            daemon_config = daemon_config.with_recovery(policy);
+        }
+        if let Some(gossip) = config.gossip.clone() {
+            daemon_config = daemon_config.with_gossip(gossip);
+        }
+        Core {
+            daemon: Daemon::new(daemon_config),
+            app,
+            lib: Library::new(),
+            name,
+            timers: Vec::new(),
+            wake_at: Some(SimTime::ZERO),
+            start: Instant::now(),
+            work: VecDeque::new(),
+            cmds: (0..config.listen_shards).map(|_| Vec::new()).collect(),
+            counters,
+            persist,
+            me,
+            directory,
+        }
+    }
+
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
     fn run(
         mut self,
-        rx: Receiver<Vec<CoreMsg>>,
+        rx: Receiver<Vec<CoreMsg<A>>>,
         txs: Vec<Sender<Vec<ShardCmd>>>,
         cadence: Duration,
         stop: Arc<AtomicBool>,
@@ -686,11 +792,14 @@ impl<A: Application> Core<A> {
         t.max(Duration::from_micros(100))
     }
 
-    fn ingest(&mut self, batch: Vec<CoreMsg>) {
+    fn ingest(&mut self, batch: Vec<CoreMsg<A>>) {
         for msg in batch {
             match msg {
                 CoreMsg::Hello { conn, hs } => {
-                    let device = DeviceInfo::new(hs.from, hs.from.to_string(), [Technology::Wlan]);
+                    let name = self
+                        .member(hs.from, |m| m.name.clone())
+                        .unwrap_or_else(|| hs.from.to_string());
+                    let device = DeviceInfo::new(hs.from, name, [Technology::Wlan]);
                     self.work
                         .push_back(DaemonInput::Plugin(PluginEvent::IncomingConnection {
                             link: LinkId::new(conn),
@@ -710,16 +819,8 @@ impl<A: Application> Core<A> {
                         payload: Bytes::from(payload),
                     }));
                 }
-                CoreMsg::Gone { conn, cause } => {
-                    let link = LinkId::new(conn);
-                    let ev = match cause {
-                        GoneCause::Eof => PluginEvent::PeerClosed { link },
-                        GoneCause::Error | GoneCause::Shed | GoneCause::Idle => {
-                            PluginEvent::LinkDown { link }
-                        }
-                    };
-                    self.work.push_back(DaemonInput::Plugin(ev));
-                }
+                CoreMsg::Event(event) => self.work.push_back(DaemonInput::Plugin(event)),
+                CoreMsg::Script(script) => script(self),
             }
         }
     }
@@ -775,32 +876,83 @@ impl<A: Application> Core<A> {
         r
     }
 
-    /// Routes one daemon plugin command. Discovery is completed inline
-    /// (thin live clients are not discoverable peers); connection commands
-    /// become shard commands.
+    /// Runs `f` on the directory entry of `device` if it is another member.
+    fn member<R>(&self, device: DeviceId, f: impl FnOnce(&Member<A>) -> R) -> Option<R> {
+        if device.raw() == self.me {
+            return None;
+        }
+        lock(&self.directory).get(device.raw() as usize).map(f)
+    }
+
+    /// Routes one daemon plugin command. Discovery is answered from the
+    /// directory; connection commands become shard commands.
     fn exec(&mut self, cmd: PluginCommand) {
+        let me = DeviceId::new(self.me);
         match cmd {
             PluginCommand::StartInquiry { technology } => {
+                let found: Vec<DeviceInfo> = lock(&self.directory)
+                    .iter()
+                    .enumerate()
+                    .map(|(j, m)| {
+                        DeviceInfo::new(DeviceId::new(j as u64), m.name.clone(), [technology])
+                    })
+                    .filter(|info| info.id != me)
+                    .collect();
+                for device in found {
+                    self.work
+                        .push_back(DaemonInput::Plugin(PluginEvent::InquiryResponse {
+                            technology,
+                            device,
+                        }));
+                }
                 self.work
                     .push_back(DaemonInput::Plugin(PluginEvent::InquiryComplete {
                         technology,
                     }));
             }
             PluginCommand::QueryServices { device, .. } => {
-                self.work
-                    .push_back(DaemonInput::Plugin(PluginEvent::ServiceReply {
-                        device,
-                        services: Vec::new(),
-                    }));
+                let query = vec![CoreMsg::Event(PluginEvent::ServiceQuery { device: me })];
+                let posted = self.member(device, |m| m.core.send(query).is_ok());
+                if posted != Some(true) {
+                    // Thin clients (and stopped members) expose no services.
+                    self.work
+                        .push_back(DaemonInput::Plugin(PluginEvent::ServiceReply {
+                            device,
+                            services: Vec::new(),
+                        }));
+                }
             }
-            PluginCommand::ServiceQueryReply { .. } => {}
-            PluginCommand::OpenConnection { attempt, .. } => {
-                self.work
+            PluginCommand::ServiceQueryReply { device, services } => {
+                let reply = vec![CoreMsg::Event(PluginEvent::ServiceReply {
+                    device: me,
+                    services,
+                })];
+                let _ = self.member(device, |m| m.core.send(reply));
+            }
+            PluginCommand::OpenConnection {
+                attempt,
+                device,
+                service,
+                resume,
+                ..
+            } => match self.member(device, |m| m.addr) {
+                Some(addr) => {
+                    let hs = Handshake {
+                        from: me,
+                        service,
+                        resume,
+                    };
+                    if let Some(batch) = self.cmds.first_mut() {
+                        batch.push(ShardCmd::Dial { attempt, addr, hs });
+                    }
+                }
+                None => self
+                    .work
                     .push_back(DaemonInput::Plugin(PluginEvent::ConnectResult {
                         attempt,
                         result: Err("live server cannot dial thin clients".into()),
-                    }));
-            }
+                    })),
+            },
             PluginCommand::AcceptConnection { link } => self.cmd(
                 link,
                 ShardCmd::Verdict {
@@ -852,22 +1004,26 @@ impl<A: Application> Core<A> {
     }
 }
 
-/// A running live-serving daemon: `listen_shards` socket threads plus one
-/// core thread around the sans-IO [`Daemon`] and the served
-/// [`Application`].
+/// A running live daemon: `listen_shards` socket threads plus one core
+/// thread around the sans-IO [`Daemon`] and the served [`Application`].
 ///
 /// Built from a [`LiveConfig`] via [`LiveServer::spawn`] (or
-/// [`LiveConfig::serve`]); stopped with [`LiveServer::shutdown`], which
-/// returns the application (with all the state it accumulated).
+/// [`LiveConfig::serve`]) as a standalone server, or via
+/// [`LiveNet::serve`](super::LiveNet::serve) as one member of a
+/// neighborhood; scripted through [`LiveServer::with_app`]; stopped with
+/// [`LiveServer::shutdown`], which returns the application (with all the
+/// state it accumulated).
 ///
-/// See the [module docs](self) for the reactor model and the
-/// backpressure/persistence contracts.
+/// See the [module docs](self) for the reactor model, the directory and
+/// the backpressure/persistence contracts.
 pub struct LiveServer<A> {
     addr: SocketAddr,
     stats: Arc<Counters>,
     stop: Arc<AtomicBool>,
     shards: Vec<JoinHandle<()>>,
     core: JoinHandle<A>,
+    /// The core thread's inbox, for [`LiveServer::with_app`].
+    inbox: Sender<Vec<CoreMsg<A>>>,
 }
 
 impl<A: Application + Send + 'static> LiveServer<A> {
@@ -893,14 +1049,24 @@ impl<A: Application + Send + 'static> LiveServer<A> {
         app: A,
         persist: Option<Box<dyn LivePersist<A>>>,
     ) -> io::Result<Self> {
-        let name = name.into();
+        Self::boot(config, name.into(), app, persist, Directory::default())
+    }
+
+    /// Starts a server as the next member of `directory`.
+    pub(super) fn boot(
+        config: LiveConfig,
+        name: String,
+        app: A,
+        persist: Option<Box<dyn LivePersist<A>>>,
+        directory: Directory<A>,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(config.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let counters = Arc::new(Counters::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let (core_tx, core_rx) = mpsc::channel::<Vec<CoreMsg>>();
+        let (core_tx, core_rx) = mpsc::channel::<Vec<CoreMsg<A>>>();
 
         let mut shard_txs = Vec::new();
         let mut shards = Vec::new();
@@ -925,36 +1091,25 @@ impl<A: Application + Send + 'static> LiveServer<A> {
                     .spawn(move || shard.run(rx, core_tx, stop))?,
             );
         }
-        drop(core_tx);
 
-        let mut daemon_config = DaemonConfig::new(DeviceInfo::new(
-            DeviceId::new(0),
-            name.clone(),
-            [Technology::Wlan],
-        ))
-        .with_inquiry_interval(Technology::Wlan, config.inquiry_interval)
-        .with_neighbor_ttl(config.neighbor_ttl)
-        .with_auto_service_discovery(config.auto_service_discovery);
-        if let Some(policy) = config.recovery {
-            daemon_config = daemon_config.with_recovery(policy);
-        }
-        if let Some(gossip) = config.gossip.clone() {
-            daemon_config = daemon_config.with_gossip(gossip);
-        }
-
-        let core = Core {
-            daemon: Daemon::new(daemon_config),
-            app,
-            lib: Library::new(),
-            name,
-            timers: Vec::new(),
-            wake_at: Some(SimTime::ZERO),
-            start: Instant::now(),
-            work: VecDeque::new(),
-            cmds: (0..config.listen_shards).map(|_| Vec::new()).collect(),
-            counters: Arc::clone(&counters),
-            persist,
+        let me = {
+            let mut members = lock(&directory);
+            members.push(Member {
+                name: name.clone(),
+                addr,
+                core: core_tx.clone(),
+            });
+            members.len() as u64 - 1
         };
+        let core = Core::new(
+            &config,
+            name,
+            app,
+            me,
+            directory,
+            Arc::clone(&counters),
+            persist,
+        );
         let cadence = config.snapshot_cadence;
         let core_stop = Arc::clone(&stop);
         let core = std::thread::Builder::new()
@@ -967,6 +1122,7 @@ impl<A: Application + Send + 'static> LiveServer<A> {
             stop,
             shards,
             core,
+            inbox: core_tx,
         })
     }
 
@@ -978,6 +1134,27 @@ impl<A: Application + Send + 'static> LiveServer<A> {
     /// A point-in-time copy of the serving counters.
     pub fn stats(&self) -> LiveStats {
         self.stats.snapshot()
+    }
+
+    /// Runs `f` against the served application on the core thread, drains
+    /// the daemon work it queued, and returns its result — the hook for
+    /// scripting a user action or reading application state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core thread has panicked.
+    pub fn with_app<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut A, &mut AppCtx<'_>) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = mpsc::channel();
+        let script = move |core: &mut Core<A>| {
+            let r = core.app_callback(f);
+            core.run_work();
+            let _ = tx.send(r);
+        };
+        let _ = self.inbox.send(vec![CoreMsg::Script(Box::new(script))]);
+        rx.recv().expect("live core thread stopped")
     }
 
     /// Stops the reactor (final checkpoint included) and returns the
@@ -993,29 +1170,79 @@ impl<A: Application + Send + 'static> LiveServer<A> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::wire::parse_farewell;
     use super::*;
     use crate::api::AppEvent;
     use crate::service::ServiceInfo;
+    use crate::types::ConnId;
 
-    /// Echoes every frame back, prefixed with nothing — a 1:1 responder.
+    /// A peer that records what it sees and, when serving, registers
+    /// "echo" and sends every frame back unchanged.
     #[derive(Default)]
-    struct EchoApp {
-        served: usize,
+    struct Echo {
+        serve: bool,
+        peers: Vec<DeviceId>,
+        conn: Option<ConnId>,
+        received: Vec<Bytes>,
+        closed: usize,
+        failed: usize,
     }
 
-    impl Application for EchoApp {
-        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
-            ctx.peerhood().register_service(ServiceInfo::new("echo"));
-        }
-
-        fn on_event(&mut self, event: AppEvent, ctx: &mut AppCtx<'_>) {
-            if let AppEvent::Data { conn, payload } = event {
-                self.served += 1;
-                ctx.peerhood().send(conn, payload);
+    impl Echo {
+        fn serving() -> Echo {
+            Echo {
+                serve: true,
+                ..Echo::default()
             }
         }
     }
+
+    impl Application for Echo {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            if self.serve {
+                ctx.peerhood().register_service(ServiceInfo::new("echo"));
+            }
+        }
+
+        fn on_event(&mut self, event: AppEvent, ctx: &mut AppCtx<'_>) {
+            match event {
+                AppEvent::DeviceAppeared(info) => self.peers.push(info.id),
+                AppEvent::Connected { conn, .. } => self.conn = Some(conn),
+                AppEvent::ConnectFailed { .. } => self.failed += 1,
+                AppEvent::Data { conn, payload } => {
+                    self.received.push(payload.clone());
+                    if self.serve {
+                        // Echo it back.
+                        ctx.peerhood().send(conn, payload);
+                    }
+                }
+                AppEvent::Closed { .. } => self.closed += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// Polls `probe` on the core thread until it holds or `wall` passes.
+    fn wait<A: Application + Send + 'static>(
+        server: &LiveServer<A>,
+        wall: Duration,
+        probe: impl Fn(&A) -> bool + Clone + Send + 'static,
+    ) -> bool {
+        let deadline = Instant::now() + wall;
+        loop {
+            let probe = probe.clone();
+            if server.with_app(move |app, _| probe(app)) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Members are numbered in boot order.
+    const FIRST: DeviceId = DeviceId::new(0);
+    const SECOND: DeviceId = DeviceId::new(1);
 
     /// A minimal blocking test client speaking the live wire protocol.
     struct TestClient {
@@ -1073,7 +1300,7 @@ mod tests {
     #[test]
     fn serves_echo_round_trip_and_counts() {
         let server =
-            LiveServer::spawn(LiveConfig::default(), "reactor", EchoApp::default()).expect("spawn");
+            LiveServer::spawn(LiveConfig::default(), "reactor", Echo::serving()).expect("spawn");
         let mut client = TestClient::connect(server.addr(), 1, "echo");
         let verdict = client.recv(Duration::from_secs(5)).expect("verdict");
         assert_eq!(verdict, vec![VERDICT_ACCEPT]);
@@ -1085,13 +1312,13 @@ mod tests {
         assert_eq!(stats.frames_in, 1);
         assert_eq!(stats.frames_out, 1);
         let app = server.shutdown();
-        assert_eq!(app.served, 1);
+        assert_eq!(app.received.len(), 1);
     }
 
     #[test]
     fn rejects_unknown_service_with_reason() {
         let server =
-            LiveServer::spawn(LiveConfig::default(), "reactor", EchoApp::default()).expect("spawn");
+            LiveServer::spawn(LiveConfig::default(), "reactor", Echo::serving()).expect("spawn");
         let mut client = TestClient::connect(server.addr(), 1, "no-such-service");
         let verdict = client.recv(Duration::from_secs(5)).expect("verdict");
         assert_eq!(verdict.first(), Some(&VERDICT_REJECT));
@@ -1102,7 +1329,7 @@ mod tests {
     #[test]
     fn idle_connection_gets_timeout_farewell() {
         let config = LiveConfig::default().with_idle_timeout(Duration::from_millis(200));
-        let server = LiveServer::spawn(config, "reactor", EchoApp::default()).expect("spawn");
+        let server = LiveServer::spawn(config, "reactor", Echo::serving()).expect("spawn");
         let mut client = TestClient::connect(server.addr(), 1, "echo");
         assert_eq!(
             client.recv(Duration::from_secs(5)).expect("verdict"),
@@ -1120,7 +1347,7 @@ mod tests {
         // Tiny queue cap: a client that never reads its echoes overflows
         // the bounded write queue almost immediately.
         let config = LiveConfig::default().with_queue_cap(2 * 1024);
-        let server = LiveServer::spawn(config, "reactor", EchoApp::default()).expect("spawn");
+        let server = LiveServer::spawn(config, "reactor", Echo::serving()).expect("spawn");
         let mut stalled = TestClient::connect(server.addr(), 1, "echo");
         assert_eq!(
             stalled.recv(Duration::from_secs(5)).expect("verdict"),
@@ -1147,6 +1374,243 @@ mod tests {
             Some(ErrorKind::Overloaded),
             "shed client must observe the Overloaded farewell"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn farewell_keeps_a_partly_written_frame_whole() {
+        let (a, _b) = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            (a, listener.accept().unwrap().0)
+        };
+        let mut c = Conn::new(a).unwrap();
+        c.state = ConnState::Established;
+        c.push(frame(b"half sent"));
+        c.push(frame(b"never sent"));
+        c.front_off = 3;
+        c.queued -= 3;
+        c.bid_farewell(ErrorKind::Overloaded);
+        assert_eq!(c.out.len(), 2, "the partly written frame stays queued");
+        assert_eq!(c.out[0], frame(b"half sent"));
+        assert_eq!(c.out[1], frame(&farewell(ErrorKind::Overloaded)));
+        assert_eq!(c.queued, frame(b"half sent").len() - 3 + 6);
+        assert!(matches!(c.state, ConnState::Dying { .. }));
+    }
+
+    #[test]
+    fn standalone_server_is_a_directory_of_one() {
+        let directory = Directory::default();
+        lock(&directory).push(Member {
+            name: "solo".into(),
+            addr: SocketAddr::from(([127, 0, 0, 1], 1)),
+            core: mpsc::channel().0,
+        });
+        let mut core = Core::new(
+            &LiveConfig::default(),
+            "solo".into(),
+            Echo::serving(),
+            0,
+            directory,
+            Arc::default(),
+            None,
+        );
+        let replies = |core: &mut Core<Echo>, cmd| {
+            core.exec(cmd);
+            core.work.drain(..).collect::<Vec<_>>()
+        };
+        let technology = Technology::Wlan;
+        assert_eq!(
+            replies(&mut core, PluginCommand::StartInquiry { technology }),
+            vec![DaemonInput::Plugin(PluginEvent::InquiryComplete {
+                technology
+            })],
+            "an inquiry completes empty"
+        );
+        let thin = DeviceId::new(7);
+        assert_eq!(
+            replies(
+                &mut core,
+                PluginCommand::QueryServices {
+                    device: thin,
+                    technology
+                }
+            ),
+            vec![DaemonInput::Plugin(PluginEvent::ServiceReply {
+                device: thin,
+                services: Vec::new()
+            })],
+            "a thin client offers no services"
+        );
+        let attempt = AttemptId::new(3);
+        assert_eq!(
+            replies(
+                &mut core,
+                PluginCommand::OpenConnection {
+                    attempt,
+                    device: thin,
+                    service: "echo".into(),
+                    technology,
+                    resume: None,
+                }
+            ),
+            vec![DaemonInput::Plugin(PluginEvent::ConnectResult {
+                attempt,
+                result: Err("live server cannot dial thin clients".into())
+            })]
+        );
+        // A thin client claiming the server's own id is still a thin client.
+        core.ingest(vec![CoreMsg::Hello {
+            conn: 5,
+            hs: Handshake {
+                from: FIRST,
+                service: "echo".into(),
+                resume: None,
+            },
+        }]);
+        let Some(DaemonInput::Plugin(PluginEvent::IncomingConnection { device, .. })) =
+            core.work.pop_front()
+        else {
+            panic!("hello must become an incoming connection");
+        };
+        assert_eq!(device.id, FIRST);
+        assert_eq!(&*device.name, FIRST.to_string());
+    }
+
+    #[test]
+    fn live_round_trip_over_real_tcp() {
+        let net = LiveConfig::default().network();
+        let client = net.serve("client", Echo::default()).unwrap();
+        let server = net.serve("server", Echo::serving()).unwrap();
+
+        // Discovery happens within the 200 ms inquiry cadence.
+        assert!(
+            wait(&client, Duration::from_secs(5), |a| a
+                .peers
+                .contains(&SECOND)),
+            "server never discovered"
+        );
+
+        client.with_app(|_, ctx| ctx.peerhood().connect(SECOND, "echo"));
+        assert!(
+            wait(&client, Duration::from_secs(5), |a| a.conn.is_some()),
+            "connect never completed"
+        );
+        let conn = client.with_app(|a, _| a.conn).unwrap();
+        client.with_app(move |_, ctx| {
+            ctx.peerhood()
+                .send(conn, Bytes::from_static(b"over real tcp"))
+        });
+        assert!(
+            wait(&client, Duration::from_secs(5), |a| !a.received.is_empty()),
+            "echo never arrived"
+        );
+        assert_eq!(
+            client.with_app(|a, _| a.received[0].clone()),
+            Bytes::from_static(b"over real tcp")
+        );
+        // Orderly close propagates.
+        client.with_app(move |_, ctx| ctx.peerhood().close(conn));
+        assert!(
+            wait(&server, Duration::from_secs(5), |a| a.closed > 0),
+            "server never saw the close"
+        );
+        client.shutdown();
+        server.shutdown();
+    }
+
+    #[test]
+    fn connect_to_unknown_service_is_rejected_over_tcp() {
+        let net = LiveConfig::default().network();
+        let client = net.serve("client", Echo::default()).unwrap();
+        let server = net.serve("server", Echo::default()).unwrap();
+        assert!(wait(&client, Duration::from_secs(5), |a| a
+            .peers
+            .contains(&SECOND)));
+        client.with_app(|_, ctx| ctx.peerhood().connect(SECOND, "nope"));
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(client.with_app(|a, _| a.conn.is_none()));
+        client.shutdown();
+        server.shutdown();
+    }
+
+    /// Lists a raw listener as member 0, boots a member that discovers and
+    /// dials it, and returns the dialer once its connect has failed,
+    /// together with how long the connect took.
+    fn dial_impostor(
+        config: LiveConfig,
+        answer: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (LiveServer<Echo>, Duration) {
+        let impostor = TcpListener::bind("127.0.0.1:0").unwrap();
+        let net = config.network();
+        lock(&net.directory).push(Member {
+            name: "impostor".into(),
+            addr: impostor.local_addr().unwrap(),
+            core: mpsc::channel().0,
+        });
+        let raw = std::thread::spawn(move || {
+            let (mut stream, _) = impostor.accept().unwrap();
+            answer(stream.try_clone().unwrap());
+            // Hold the socket until the dialer hangs up.
+            let _ = io::copy(&mut stream, &mut io::sink());
+        });
+        let dialer = net.serve("dialer", Echo::default()).unwrap();
+        assert!(wait(&dialer, Duration::from_secs(5), |a| a
+            .peers
+            .contains(&FIRST)));
+        let t0 = Instant::now();
+        dialer.with_app(|_, ctx| ctx.peerhood().connect(FIRST, "echo"));
+        assert!(
+            wait(&dialer, Duration::from_secs(10), |a| a.failed > 0),
+            "the dial never failed"
+        );
+        let took = t0.elapsed();
+        raw.join().unwrap();
+        (dialer, took)
+    }
+
+    #[test]
+    fn dial_to_a_mute_listener_fails_within_the_handshake_deadline() {
+        let deadline = Duration::from_millis(300);
+        let config = LiveConfig::default().with_handshake_timeout(deadline);
+        let (dialer, took) = dial_impostor(config, |_| {});
+        assert!(took >= deadline, "failed before the deadline: {took:?}");
+        assert!(took < deadline + Duration::from_secs(2), "took {took:?}");
+        assert_eq!(dialer.with_app(|a, _| a.conn), None);
+        assert_eq!(dialer.stats().active, 0, "the dialed socket is dropped");
+        dialer.shutdown();
+    }
+
+    #[test]
+    fn dial_answered_with_an_oversized_header_fails_cleanly() {
+        let (dialer, took) = dial_impostor(LiveConfig::default(), |mut stream| {
+            stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        });
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        assert_eq!(dialer.with_app(|a, _| a.conn), None);
+        assert_eq!(dialer.stats().active, 0);
+        dialer.shutdown();
+    }
+
+    #[test]
+    fn idle_members_both_close_and_no_farewell_reaches_the_app() {
+        let config = LiveConfig::default().with_idle_timeout(Duration::from_millis(200));
+        let net = config.network();
+        let client = net.serve("client", Echo::default()).unwrap();
+        let server = net.serve("server", Echo::serving()).unwrap();
+        assert!(wait(&client, Duration::from_secs(5), |a| a
+            .peers
+            .contains(&SECOND)));
+        client.with_app(|_, ctx| ctx.peerhood().connect(SECOND, "echo"));
+        assert!(wait(&client, Duration::from_secs(5), |a| a.conn.is_some()));
+        // Both ends stay silent past the idle timeout. The link goes down
+        // at once for the initiator; the responder first waits out the
+        // daemon's 12 s handover grace for a resume that never comes.
+        assert!(wait(&client, Duration::from_secs(5), |a| a.closed > 0));
+        assert!(wait(&server, Duration::from_secs(15), |a| a.closed > 0));
+        assert!(client.with_app(|a, _| a.received.is_empty()));
+        assert!(server.with_app(|a, _| a.received.is_empty()));
+        client.shutdown();
         server.shutdown();
     }
 }

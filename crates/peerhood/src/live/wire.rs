@@ -1,8 +1,8 @@
 //! The live TCP transport framing, shared by every party on the socket.
 //!
-//! Both live drivers ([`LiveNet`](super::LiveNet) and
-//! [`LiveServer`](super::LiveServer)), the thin clients of the load harness
-//! and the regression tests all speak the same byte stream:
+//! The live driver ([`LiveServer`](super::LiveServer)) on both ends of a
+//! member-to-member link, the thin clients of the load harness and the
+//! regression tests all speak the same byte stream:
 //!
 //! 1. Every frame is `[u32 big-endian length][payload]`.
 //! 2. The **first** frame of a connection is the initiator's [`Handshake`].
@@ -11,14 +11,15 @@
 //!    reason).
 //! 4. After an accepted verdict, frames carry opaque application payloads
 //!    (for the community service: `Request`/`Response` wire messages).
-//! 5. A responder about to drop the connection *may* send one final
-//!    **farewell** control frame — [`FAREWELL_TAG`] followed by a stable
-//!    [`ErrorKind`] wire code — so the peer learns *why* it was dropped
-//!    ([`ErrorKind::Overloaded`] for backpressure shedding,
-//!    [`ErrorKind::Timeout`] for idle-connection expiry). The tag byte
-//!    `0xFF` can never open a legitimate application frame: community
-//!    frames start with the protocol version (currently `1`) and verdict
-//!    frames with `0`/`1`.
+//! 5. A server about to drop an established connection *may* send one
+//!    final **farewell** control frame — [`FAREWELL_TAG`] followed by a
+//!    stable [`ErrorKind`] wire code — so the peer learns *why* it was
+//!    dropped ([`ErrorKind::Overloaded`] for backpressure shedding,
+//!    [`ErrorKind::Timeout`] for idle-connection expiry). A server that
+//!    receives a farewell ends the link; it never reaches the application.
+//!    The tag byte `0xFF` can never open a legitimate application frame:
+//!    community frames start with the protocol version (currently `1`) and
+//!    verdict frames with `0`/`1`.
 
 use codec::{DecodeError, Wire};
 

@@ -4,16 +4,37 @@
 //! Run with `cargo run --example live_tcp_demo`. Finishes in a few seconds
 //! of wall-clock time.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use community::node::CommunityApp;
 use community::profile::Profile;
 use community::OpResult;
-use peerhood::live::LiveConfig;
+use peerhood::live::{LiveConfig, LiveServer};
+
+/// Polls `probe` on the member's core thread until it holds or `wall`
+/// passes.
+fn wait(
+    member: &LiveServer<CommunityApp>,
+    wall: Duration,
+    probe: impl Fn(&CommunityApp) -> bool + Clone + Send + 'static,
+) -> bool {
+    let deadline = Instant::now() + wall;
+    loop {
+        let probe = probe.clone();
+        if member.with_app(move |app, _| probe(app)) {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
 
 fn main() -> std::io::Result<()> {
-    let mut net = LiveConfig::default().network();
-    let alice = net.spawn(
+    let started = Instant::now();
+    let net = LiveConfig::default().network();
+    let alice = net.serve(
         "alice-host",
         CommunityApp::with_member(
             "alice",
@@ -21,7 +42,7 @@ fn main() -> std::io::Result<()> {
             Profile::new("Alice").with_interests(["rust", "networks"]),
         ),
     )?;
-    let bob = net.spawn(
+    let bob = net.serve(
         "bob-host",
         CommunityApp::with_member(
             "bob",
@@ -29,40 +50,45 @@ fn main() -> std::io::Result<()> {
             Profile::new("Bob").with_interests(["Rust", "sauna"]),
         ),
     )?;
-    net.start();
 
     println!("waiting for discovery + dynamic group formation over loopback TCP...");
-    let formed = net.run_until(Duration::from_secs(10), |n| {
-        !n.app(alice).groups().is_empty() && !n.app(bob).groups().is_empty()
-    });
+    let grouped = |app: &CommunityApp| !app.groups().is_empty();
+    let formed = wait(&alice, Duration::from_secs(10), grouped)
+        && wait(&bob, Duration::from_secs(10), grouped);
     assert!(formed, "groups must form over live TCP");
-    for g in net.app(alice).groups() {
+    for g in alice.with_app(|app, _| app.groups()) {
         println!("alice sees group {:?}: {:?}", g.label, g.members);
     }
 
     // A real message over a real socket.
-    let op = net.with_app(alice, |app, ctx| {
+    let op = alice.with_app(|app, ctx| {
         app.send_message("bob", "live", "these bytes crossed a real TCP socket", ctx)
     });
-    let delivered = net.run_until(Duration::from_secs(10), |n| {
-        n.app(alice).outcome(op).is_some()
+    let delivered = wait(&alice, Duration::from_secs(10), move |app| {
+        app.outcome(op).is_some()
     });
     assert!(delivered, "message op must complete");
-    match &net.app(alice).outcome(op).expect("completed").result {
+    match alice
+        .with_app(move |app, _| app.outcome(op).cloned())
+        .expect("completed")
+        .result
+    {
         OpResult::MessageResult { written: true } => println!("alice -> bob: delivered"),
         other => println!("message failed: {other:?}"),
     }
-    let inbox = net
-        .app(bob)
-        .store()
-        .active_account()
-        .expect("logged in")
-        .mailbox
-        .inbox()
-        .to_vec();
+    let inbox = bob.with_app(|app, _| {
+        app.store()
+            .active_account()
+            .expect("logged in")
+            .mailbox
+            .inbox()
+            .to_vec()
+    });
     for mail in inbox {
         println!("bob's inbox: {mail}");
     }
-    println!("elapsed wall-clock: {}", net.now());
+    println!("elapsed wall-clock: {:?}", started.elapsed());
+    alice.shutdown();
+    bob.shutdown();
     Ok(())
 }
